@@ -10,11 +10,11 @@ that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
   ``MIN_PLANNED_SPEEDUP``x the unplanned engine's throughput (1.3x by
   default, typically ~2x locally) while staying bit-identical, and compiling
   the plan must amortise within a single storm batch.
-* **Output pooling.**  A process-backed engine hands results out as
-  zero-copy views of pooled worker-owned shared-memory slots; the same
-  round trip with ``copy_outputs`` (the old materialise-per-reply
-  behaviour) must not be faster -- the measured per-round-trip delta is the
-  memcpy the pool deletes.
+* **Output pooling.**  An :class:`~repro.runtime.EngineWorker` hands
+  results out as zero-copy views of pooled worker-owned shared-memory
+  slots; the same round trip with ``copy_outputs`` (the old
+  materialise-per-reply behaviour) must not be faster -- the measured
+  per-round-trip delta is the memcpy the pool deletes.
 
 Plans change scheduling and layout only, never arithmetic, so every
 comparison here doubles as a bit-identity regression test across the
@@ -24,6 +24,7 @@ thread and process backends.
 from __future__ import annotations
 
 import os
+import sys
 import time
 
 import numpy as np
@@ -33,9 +34,11 @@ from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_linear_weights
 from repro.runtime import (
+    EngineSpec,
+    EngineWorker,
     ExecutorPool,
     NetworkEngine,
-    ProcessEngine,
+    ReplicaPool,
     compile_model_plan,
 )
 
@@ -104,7 +107,7 @@ def plan_setup():
     planned_pool = ExecutorPool()
     plan = compile_model_plan(model, pool=planned_pool)
     planned = NetworkEngine.build(model, pool=planned_pool, plan=plan)
-    process = ProcessEngine.launch(model, plan=plan)
+    process = ReplicaPool.launch(model, plan=plan, replicas=1)
     for engine in (unplanned, planned, process):
         engine.run(requests[0])  # warm every path outside the timed regions
     yield model, plan, unplanned, planned, process, requests
@@ -195,23 +198,31 @@ def test_output_pooling_roundtrip_delta(benchmark):
     ratio_bar = float(os.environ.get("MAX_POOLED_RTT_RATIO", "1.05"))
     model = build_wide_model()
     plan = compile_model_plan(model)
-    engine = ProcessEngine.launch(model, plan=plan)
+    worker = EngineWorker(EngineSpec(model=model, sys_path=tuple(sys.path), plan=plan))
     inputs = np.abs(np.random.default_rng(1).normal(0, 1, size=(256, 32)))
+
+    def run() -> np.ndarray:
+        # extra = (return_codes, micro-batch override?, micro_batch, trace ctx)
+        outputs, _meta = worker.request(
+            "run", array=inputs, extra=(False, False, None, None)
+        )
+        return outputs
+
     try:
-        engine.run(inputs)  # warm the worker and both transport directions
+        run()  # warm the worker and both transport directions
 
         def round_trips(n: int = 6) -> float:
             start = time.perf_counter()
             for _ in range(n):
-                engine.run(inputs)
+                run()
             return (time.perf_counter() - start) / n
 
-        engine.worker.copy_outputs = False
+        worker.copy_outputs = False
         pooled, _ = best_of(round_trips)
-        engine.worker.copy_outputs = True
+        worker.copy_outputs = True
         copied, _ = best_of(round_trips)
-        engine.worker.copy_outputs = False
-        pooled_view = engine.run(inputs)
+        worker.copy_outputs = False
+        pooled_view = run()
         assert not pooled_view.flags.writeable  # zero-copy pool view
         benchmark.extra_info["pooled_rtt_ms"] = round(pooled * 1e3, 3)
         benchmark.extra_info["copy_rtt_ms"] = round(copied * 1e3, 3)
@@ -222,4 +233,4 @@ def test_output_pooling_roundtrip_delta(benchmark):
             f"copying replies ({copied * 1e3:.3f} ms)"
         )
     finally:
-        engine.close()
+        worker.close()

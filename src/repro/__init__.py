@@ -21,7 +21,7 @@ The package is organised as:
   batched-inference front end.
 * :mod:`repro.serve`      -- multi-tenant serving: model registry, dynamic
   micro-batching inference server with SLO-aware (priority/deadline)
-  scheduling, layer-pipeline sharded engine.
+  scheduling, in-process or replicated out-of-process hosting.
 * :mod:`repro.telemetry`  -- hardware-grounded serving telemetry: per-layer
   energy/latency cost tables bridged from :mod:`repro.hw`, per-request
   traces and per-tenant aggregates with JSON/Prometheus export.

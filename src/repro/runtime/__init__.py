@@ -32,10 +32,10 @@ batched engine while staying bit-identical to the per-phase reference:
   sidestepping the GIL for the digital stages; request/response arrays
   travel through shared-memory blocks with a framed header instead of the
   pickler, and results stay bit-identical to the in-process engine.
-  :class:`ProcessEngine` fronts a single :class:`EngineWorker`;
-  :class:`ReplicaPool` fronts N of them behind one engine interface, with
-  least-loaded dispatch, liveness probes and automatic restart of crashed
-  replicas (:class:`WorkerHandle` per slot).
+  :class:`ReplicaPool` fronts N :class:`EngineWorker` processes (one with
+  ``replicas=1``) behind one engine interface, with least-loaded dispatch,
+  liveness probes and automatic restart of crashed replicas
+  (:class:`WorkerHandle` per slot).
 
 Quickstart::
 
@@ -64,7 +64,6 @@ from repro.runtime.plan import (
 from repro.runtime.procpool import (
     EngineSpec,
     EngineWorker,
-    ProcessEngine,
     RemoteEngineError,
     ReplicaPool,
     WorkerClosedError,
@@ -84,7 +83,6 @@ __all__ = [
     "ModelPlan",
     "ModelPlanCache",
     "NetworkEngine",
-    "ProcessEngine",
     "RemoteEngineError",
     "ReplicaPool",
     "VectorizedLayerExecutor",

@@ -192,14 +192,10 @@ class NetworkEngine:
             micro_batch=resolved,
         )
         elapsed = time.perf_counter() - start
-        self._notify_run_probes(int(np.asarray(inputs).shape[0]), elapsed)
-        return outputs
-
-    def _notify_run_probes(self, n_samples: int, elapsed_s: float) -> None:
-        """Fire every attached run probe (subclasses with their own run paths
-        call this too)."""
+        n_samples = int(np.asarray(inputs).shape[0])
         for probe in list(self._run_probes):
-            probe(n_samples, elapsed_s)
+            probe(n_samples, elapsed)
+        return outputs
 
     def add_run_probe(
         self, probe: Callable[[int, float], None]

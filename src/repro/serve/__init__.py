@@ -5,11 +5,13 @@ this package turns :class:`~repro.runtime.NetworkEngine` into that serving
 layer:
 
 * :mod:`repro.serve.registry` -- :class:`ModelRegistry` hosts several
-  calibrated models side by side behind one shared
+  calibrated models side by side, each in one of two engines.  The default
+  ``backend="thread"`` builds an in-process
+  :class:`~repro.runtime.NetworkEngine`; thread engines share one
   :class:`~repro.runtime.ExecutorPool` / :class:`~repro.runtime.EncodedWeightCache`
   (identical weights share encoded crossbars across tenants), with the
   runtime's float32 GEMM fast path enabled by default.
-  ``register(..., backend="process", replicas=N)`` hosts a model in a
+  ``backend="process", replicas=N`` hosts a model out of process in a
   self-healing :class:`~repro.runtime.ReplicaPool` of worker processes
   with a zero-copy shared-memory request path, sidestepping the GIL for
   the digital stages; crashed replicas restart automatically and
@@ -40,9 +42,6 @@ layer:
   :class:`RoutingObjective`: :class:`MinimizeEnergy`,
   :class:`MinimizeLatency`, :class:`PinVariant`), with per-variant backlog
   feedback so a saturated fast variant spills work to the low-power one.
-* :mod:`repro.serve.sharded` -- :class:`ShardedEngine` pipelines micro-batches
-  across layer stages in worker threads, bit-identical to the sequential
-  engine.
 * :mod:`repro.serve.aio` -- :class:`AsyncInferenceServer`, the asyncio front
   door: ``await submit(...)`` yields an awaitable admission decision, so
   tens of thousands of in-flight requests cost coroutines instead of
@@ -97,7 +96,6 @@ from repro.serve.server import (
     ServerStatistics,
     ServerStoppedError,
 )
-from repro.serve.sharded import ShardedEngine
 
 __all__ = [
     "AdmissionController",
@@ -123,5 +121,4 @@ __all__ = [
     "RoutingObjective",
     "ServerStatistics",
     "ServerStoppedError",
-    "ShardedEngine",
 ]

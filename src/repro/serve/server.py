@@ -436,8 +436,10 @@ class InferenceServer:
         """Screen, enqueue (unless shed) and return the admission decision.
 
         ``inputs`` must carry a leading batch dimension:
-        ``(n_samples, *model.input_shape)``.  Validation happens here so bad
-        requests fail fast instead of poisoning a coalesced batch.
+        ``(n_samples, *model.input_shape)`` of finite values.  Validation
+        happens here so bad requests fail fast instead of poisoning a
+        coalesced batch: NaN or infinite inputs would otherwise quantize to
+        silent garbage.
 
         ``priority`` (higher dispatches first) and ``deadline_s`` (seconds
         from now after which the result stops being useful) opt the request
@@ -472,6 +474,8 @@ class InferenceServer:
                 f"model {model_name!r} takes samples of shape "
                 f"{model.input_shape}, got {batch.shape[1:]}"
             )
+        if not np.isfinite(batch).all():
+            raise ValueError(f"inputs for model {model_name!r} contain NaN or inf")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive (seconds from now)")
         self._wire_cost_model(model_name)

@@ -118,6 +118,32 @@ class TestAsyncLifecycle:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_rejected(self, registry, bad):
+        telemetry = TelemetryCollector()
+        admission = AdmissionController(AdmissionPolicy())
+
+        async def scenario():
+            server = AsyncInferenceServer(
+                registry,
+                POLICY,
+                telemetry=telemetry,
+                admission=admission,
+                max_inflight=1,
+            )
+            async with server:
+                with pytest.raises(ValueError, match="NaN or inf"):
+                    await server.submit("mlp", np.full((1, 16), bad))
+                # The backpressure slot came back: a valid request still runs.
+                assert server.inflight == 0
+                await server.infer("mlp", make_inputs(1)[0], timeout=30)
+                return server.statistics()
+
+        stats = asyncio.run(scenario())
+        assert stats.requests_submitted == 1
+        assert admission.counters().decisions == 1
+        assert telemetry.aggregate("mlp").admitted_requests == 1
+
 
 class TestBackpressure:
     def test_max_inflight_suspends_producers(self, registry):
@@ -413,6 +439,30 @@ class TestGateway:
         with ModelRegistry() as registry:
             registry.register("mlp", tiny_mlp_model, backend="process", replicas=2)
             asyncio.run(scenario(registry))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_are_bad_requests(self, registry, bad):
+        telemetry = TelemetryCollector()
+        admission = AdmissionController(AdmissionPolicy())
+
+        async def scenario():
+            server = AsyncInferenceServer(
+                registry, POLICY, telemetry=telemetry, admission=admission
+            )
+            async with server, AsyncGateway(server) as gateway:
+                # json encodes non-finite floats as NaN/Infinity literals,
+                # which the gateway's parser accepts.
+                infer = {"model": "mlp", "inputs": [[bad] * 16]}
+                status, _ctype, body = await asyncio.to_thread(
+                    gateway_call, gateway.address, "POST", "/v1/infer", infer
+                )
+                assert status == 400
+                assert "NaN or inf" in json.loads(body)["error"]
+                return server.statistics()
+
+        assert asyncio.run(scenario()).requests_submitted == 0
+        assert admission.counters().decisions == 0
+        assert telemetry.aggregates() == {}
 
     def test_error_mapping(self, registry):
         probes = [

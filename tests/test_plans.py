@@ -30,7 +30,7 @@ from repro.runtime import (
     ExecutorPool,
     ModelPlan,
     NetworkEngine,
-    ProcessEngine,
+    ReplicaPool,
     VectorizedLayerExecutor,
     compile_model_plan,
 )
@@ -249,12 +249,6 @@ class TestRegistryPlanCache:
         finally:
             registry.close()
 
-    def test_sharded_engines_have_no_plan(self, tiny_mlp_model):
-        registry = ModelRegistry()
-        registry.register("mlp", tiny_mlp_model, sharded=True)
-        assert registry.plan("mlp") is None
-        registry.close()
-
     def test_unregister_keeps_cache_warm(self, tiny_mlp_model):
         registry = ModelRegistry()
         registry.register("mlp", tiny_mlp_model)
@@ -270,7 +264,7 @@ class TestPlanTransport:
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
         plan = compile_model_plan(tiny_mlp_model)
         baseline = NetworkEngine.build(tiny_mlp_model).run(inputs)
-        engine = ProcessEngine.launch(tiny_mlp_model, plan=plan)
+        engine = ReplicaPool.launch(tiny_mlp_model, plan=plan, replicas=1)
         try:
             outputs = engine.run(inputs)
             assert np.array_equal(outputs, baseline)

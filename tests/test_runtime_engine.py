@@ -295,6 +295,14 @@ class TestNetworkEngine:
         split.run(inputs)
         assert_stats_equal(full.network_statistics(), split.network_statistics())
 
+    def test_micro_batched_return_codes_match_full_pass(self, tiny_mlp_model, rng):
+        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
+        full = NetworkEngine.build(tiny_mlp_model, PimLayerConfig())
+        split = NetworkEngine.build(tiny_mlp_model, PimLayerConfig(), micro_batch=2)
+        assert np.array_equal(
+            full.run(inputs, return_codes=True), split.run(inputs, return_codes=True)
+        )
+
     def test_seeded_noise_parity_with_reference_executors(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
         vec_pool = ExecutorPool(weight_cache=None)
