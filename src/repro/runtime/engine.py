@@ -20,9 +20,6 @@ Three construction paths:
 
 from __future__ import annotations
 
-import time
-from typing import Callable
-
 import numpy as np
 
 from repro.analog.noise import NoiseModel
@@ -74,10 +71,6 @@ class NetworkEngine:
         #: The compiled :class:`~repro.runtime.plan.ModelPlan` this engine was
         #: built against (``None`` for unplanned construction paths).
         self.model_plan = None
-        # Telemetry hooks: (n_samples, elapsed_s) callbacks fired after every
-        # run().  The list is empty by default and run() does not even start a
-        # timer then, so unmetered execution pays nothing.
-        self._run_probes: list[Callable[[int, float], None]] = []
 
     # -- construction ---------------------------------------------------------
 
@@ -177,40 +170,12 @@ class NetworkEngine:
         explicit ``None`` to force one full-batch pass.
         """
         resolved = self.micro_batch if micro_batch is _USE_DEFAULT else micro_batch
-        if not self._run_probes:
-            return self.model.forward_quantized(
-                inputs,
-                pim_matmul=self.pim_matmul,
-                return_codes=return_codes,
-                micro_batch=resolved,
-            )
-        start = time.perf_counter()
-        outputs = self.model.forward_quantized(
+        return self.model.forward_quantized(
             inputs,
             pim_matmul=self.pim_matmul,
             return_codes=return_codes,
             micro_batch=resolved,
         )
-        elapsed = time.perf_counter() - start
-        n_samples = int(np.asarray(inputs).shape[0])
-        for probe in list(self._run_probes):
-            probe(n_samples, elapsed)
-        return outputs
-
-    def add_run_probe(
-        self, probe: Callable[[int, float], None]
-    ) -> Callable[[int, float], None]:
-        """Attach a telemetry probe called as ``probe(n_samples, elapsed_s)``
-        after every :meth:`run` (e.g.
-        ``TelemetryCollector.engine_probe(model_name)``).  Returns the probe
-        so callers can keep the handle for :meth:`remove_run_probe`.
-        """
-        self._run_probes.append(probe)
-        return probe
-
-    def remove_run_probe(self, probe: Callable[[int, float], None]) -> None:
-        """Detach a probe previously added with :meth:`add_run_probe`."""
-        self._run_probes.remove(probe)
 
     def predict(
         self, inputs: np.ndarray, micro_batch: int | None = _USE_DEFAULT

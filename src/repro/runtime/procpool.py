@@ -419,11 +419,11 @@ def _engine_worker_main(
 
     Replies are ``("ok", seq, block_name_or_None, meta_dict)`` or the
     ``("err", ...)`` tuple of :func:`_error_message`.  A ``run`` reply's meta
-    carries the worker-side engine wall time and the engine-run records
-    ``[(n_samples, elapsed_s)]`` the parent merges into its telemetry; when
-    the request propagated a trace context (a tuple of trace ids), the meta
-    additionally ships ``spans`` -- worker-side engine span dicts stamped
-    with this process's pid/tid -- for the parent's distributed traces.
+    carries the worker-side engine wall time (``engine_time_s``) the parent
+    turns into its one engine-run record; when the request propagated a
+    trace context (a tuple of trace ids), the meta additionally ships
+    ``spans`` -- worker-side engine span dicts stamped with this process's
+    pid/tid -- for the parent's distributed traces.
     """
     if stderr_path is not None:
         # Redirect fd 2 before anything can fail so build errors, import
@@ -491,15 +491,12 @@ def _engine_worker_main(
                     if slot_sender is None:
                         slot_sender = senders[out_slot] = _ArraySender()
                     out_block = slot_sender.send(seq, outputs)
-                    meta = {
-                        "engine_time_s": elapsed,
-                        "records": [(int(inputs.shape[0]), elapsed)],
-                    }
+                    meta = {"engine_time_s": elapsed}
                     if trace_ctx is not None:
                         # Propagated trace context: ship one worker-side
                         # engine span (this process's pid/tid, timestamps on
                         # the host-shared monotonic clock) back with the
-                        # records so the parent folds it into each sampled
+                        # timing so the parent folds it into each sampled
                         # request's trace.
                         meta["spans"] = [
                             {
@@ -861,24 +858,6 @@ class EngineWorker:
         return f"EngineWorker({state})"
 
 
-def _notify_completion(callbacks: list[Callable[[dict], None]], event: dict) -> None:
-    """Fire batch-completion callbacks; observers must not break dispatch.
-
-    The event dict carries ``model`` (name), ``n_samples`` (batch size),
-    ``engine_time_s`` (worker-measured engine seconds), ``replica`` (the
-    slot index, as a string, that executed the batch) and ``requeues``
-    (crash-retries before the batch succeeded).  Callback exceptions are
-    logged and swallowed, same contract as
-    :meth:`InferenceFuture.add_done_callback
-    <repro.serve.scheduler.InferenceFuture.add_done_callback>`.
-    """
-    for callback in list(callbacks):
-        try:
-            callback(dict(event))
-        except Exception:
-            logging.getLogger(__name__).exception("engine completion callback raised")
-
-
 def _needs_pinning(noise: NoiseModel | None) -> bool:
     """Whether pool dispatch must stay on one replica for bit-identity.
 
@@ -1000,8 +979,6 @@ class ReplicaPool:
         self._handles: list[WorkerHandle] = []
         self._restart_total = 0
         self._closed = False
-        self._run_probes: list[Callable[[int, float], None]] = []
-        self._completion_callbacks: list[Callable[[dict], None]] = []
         # Optional lifecycle observer (set_lifecycle_observer): receives one
         # dict per replica crash / restart / failed restart.  The serving
         # layer points this at the tracing flight recorder.
@@ -1184,16 +1161,15 @@ class ReplicaPool:
         *,
         trace_ctx: tuple | None = None,
         span_sink: list | None = None,
-    ) -> tuple[np.ndarray, float, list[tuple[int, float, str]]]:
-        """Run on a healthy replica -> ``(outputs, engine seconds, records)``.
+    ) -> tuple[np.ndarray, tuple[int, float, str]]:
+        """Run on a healthy replica -> ``(outputs, record)``.
 
         A replica that dies mid-batch surfaces here as a requeue: the batch
         is retried on a sibling (the dead slot restarts in the background)
-        and only fails once every slot has rejected it.  Records are
-        ``(n_samples, elapsed_s, replica)`` so telemetry can attribute
-        engine time per replica.
-
-        The engine seconds and the records are measured *inside* the worker
+        and only fails once every slot has rejected it.  The engine-run
+        ``record`` is ``(n_samples, elapsed_s, replica)``: ``replica`` is the
+        slot label that served the batch, so telemetry can attribute engine
+        time per replica, and ``elapsed_s`` is measured *inside* the worker
         around the engine call, so telemetry calibration sees pure engine
         time, never pipe/shared-memory overhead.
 
@@ -1263,24 +1239,8 @@ class ReplicaPool:
                 {**span, "replica": replica, "status": "ok"}
                 for span in meta.get("spans", ())
             )
-        records = [
-            (int(n), float(elapsed), str(handle.index))
-            for n, elapsed in meta["records"]
-        ]
-        for n_samples, elapsed_s, _replica in records:
-            for probe in list(self._run_probes):
-                probe(n_samples, elapsed_s)
-        _notify_completion(
-            self._completion_callbacks,
-            {
-                "model": self._name,
-                "n_samples": int(batch.shape[0]),
-                "engine_time_s": float(meta["engine_time_s"]),
-                "replica": str(handle.index),
-                "requeues": attempts,
-            },
-        )
-        return outputs, meta["engine_time_s"], records
+        record = (int(batch.shape[0]), float(meta["engine_time_s"]), replica)
+        return outputs, record
 
     def run(
         self,
@@ -1289,7 +1249,7 @@ class ReplicaPool:
         micro_batch: int | None = _USE_DEFAULT,
     ) -> np.ndarray:
         """Run the integer path end-to-end on a healthy replica."""
-        outputs, _elapsed, _records = self.run_timed(
+        outputs, _record = self.run_timed(
             inputs, return_codes=return_codes, micro_batch=micro_batch
         )
         return outputs
@@ -1436,36 +1396,7 @@ class ReplicaPool:
                 elif state == _HEALTHY and (worker is None or not worker.is_alive):
                     self._on_crash(handle, worker)
 
-    # -- probes / statistics ---------------------------------------------------
-
-    def add_run_probe(
-        self, probe: Callable[[int, float], None]
-    ) -> Callable[[int, float], None]:
-        """Attach a ``probe(n_samples, worker_elapsed_s)`` run callback."""
-        self._run_probes.append(probe)
-        return probe
-
-    def remove_run_probe(self, probe: Callable[[int, float], None]) -> None:
-        """Detach a probe previously added with :meth:`add_run_probe`."""
-        self._run_probes.remove(probe)
-
-    def add_completion_callback(
-        self, callback: Callable[[dict], None]
-    ) -> Callable[[dict], None]:
-        """Attach a batch-completion callback (see :func:`_notify_completion`).
-
-        Fired once per batch that ultimately *succeeded*, after any
-        crash-requeues: ``replica`` is the slot index that executed the
-        batch and ``requeues`` counts how many dead siblings rejected it
-        first -- so an observer (e.g. the async fault-injection tests) can
-        assert that a SIGKILL mid-batch cost a requeue but lost nothing.
-        """
-        self._completion_callbacks.append(callback)
-        return callback
-
-    def remove_completion_callback(self, callback: Callable[[dict], None]) -> None:
-        """Detach a callback added with :meth:`add_completion_callback`."""
-        self._completion_callbacks.remove(callback)
+    # -- statistics ------------------------------------------------------------
 
     def layer_statistics(self) -> dict[str, LayerStatistics]:
         """Per-layer statistics merged across every healthy replica."""

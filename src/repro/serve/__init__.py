@@ -93,6 +93,7 @@ from repro.serve.scheduler import (
 )
 from repro.serve.server import (
     InferenceServer,
+    InvalidRequestError,
     ServerStatistics,
     ServerStoppedError,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "InferenceFuture",
     "InferenceRequest",
     "InferenceServer",
+    "InvalidRequestError",
     "MinimizeEnergy",
     "MinimizeLatency",
     "ModelRegistry",

@@ -26,7 +26,7 @@ every utilization level:
   down so the state does not flap at a threshold.
 
 Every decision is pure dictionary lookups and float arithmetic -- O(hosted
-models), no locks beyond the controller's own counter lock, and never an
+models), no locks beyond the controller's own state lock, and never an
 engine call -- so a shed costs microseconds (``benchmarks/bench_admission.py``
 pins this).
 """
@@ -259,26 +259,23 @@ class RequestShedError(RuntimeError):
 
 @dataclass
 class AdmissionCounters:
-    """Cumulative controller-level decision counts (snapshot, not live)."""
+    """Cumulative controller-level counts (snapshot, not live).
 
-    accepted: int = 0
-    downgraded: int = 0
-    shed: int = 0
+    The controller only decides; the per-status decision counts live in the
+    server's :class:`~repro.telemetry.TelemetryCollector`, which records each
+    decision once its request is enqueued (or shed).
+    """
+
     state_transitions: int = 0
-
-    @property
-    def decisions(self) -> int:
-        """Total decisions taken."""
-        return self.accepted + self.downgraded + self.shed
 
 
 class AdmissionController:
     """Computes accept/shed/downgrade decisions for an inference server.
 
     Thread-safe: any number of submitter threads may call :meth:`decide`
-    concurrently (the state machine and counters sit behind one lock; the
-    arithmetic is lock-free).  One controller guards one server -- its
-    overload state reflects that server's backlog.
+    concurrently (the state machine sits behind one lock; the arithmetic is
+    lock-free).  One controller guards one server -- its overload state
+    reflects that server's backlog.
 
     Parameters
     ----------
@@ -317,7 +314,7 @@ class AdmissionController:
             return self._state
 
     def counters(self) -> AdmissionCounters:
-        """A snapshot of the cumulative decision counters."""
+        """A snapshot of the cumulative state-machine counters."""
         with self._lock:
             return AdmissionCounters(**vars(self._counters))
 
@@ -393,7 +390,6 @@ class AdmissionController:
         state = self._update_state(backlog_samples, predict)
 
         def decision(status: str, reason: str) -> AdmissionDecision:
-            self._count(status)
             return AdmissionDecision(
                 status=status,
                 request_id=request_id,
@@ -566,36 +562,5 @@ class AdmissionController:
                 self._state = state
             return state
 
-    def _count(self, status: str) -> None:
-        with self._lock:
-            if status == ACCEPTED:
-                self._counters.accepted += 1
-            elif status == DOWNGRADED:
-                self._counters.downgraded += 1
-            else:
-                self._counters.shed += 1
-
-    def retract(self, decision: AdmissionDecision) -> None:
-        """Undo one decision's counter after its request failed to enqueue.
-
-        The server calls this when ``stop()`` closes the queue between the
-        admission decision and the enqueue: the request never entered the
-        system, so it must not appear in the decision counters.  The
-        overload state is left alone -- it is recomputed from the live
-        backlog on the next decision.
-        """
-        with self._lock:
-            if decision.status == ACCEPTED:
-                self._counters.accepted -= 1
-            elif decision.status == DOWNGRADED:
-                self._counters.downgraded -= 1
-            else:
-                self._counters.shed -= 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        counters = self.counters()
-        return (
-            f"AdmissionController(state={self.state.value!r}, "
-            f"accepted={counters.accepted}, downgraded={counters.downgraded}, "
-            f"shed={counters.shed})"
-        )
+        return f"AdmissionController(state={self.state.value!r})"

@@ -13,7 +13,9 @@ library.  Five routes:
   ``/debug/trace``); shed requests return ``429`` *immediately* (the
   admission decision is O(us); no scheduler round-trip) with the typed
   decision as the body, plus a ``Retry-After`` hint.  Unknown models map to
-  ``404``, malformed bodies to ``400``.
+  ``404``; malformed bodies and every input the server rejects
+  (:class:`~repro.serve.server.InvalidRequestError`) to ``400``; any other
+  failure to ``500``.
 * ``GET /v1/models`` -- the hosted models with per-model backend, tenant,
   backlog, dispatch width and (for replica pools) healthy/total replica
   counts, plus the admission controller's overload state.
@@ -46,6 +48,7 @@ import numpy as np
 
 from repro.serve.admission import RequestShedError
 from repro.serve.aio import AsyncInferenceServer
+from repro.serve.server import InvalidRequestError, ServerStoppedError
 from repro.telemetry import PROMETHEUS_CONTENT_TYPE
 
 __all__ = ["AsyncGateway"]
@@ -213,9 +216,9 @@ class AsyncGateway:
             payload = json.loads(body)
             model = payload["model"]
             inputs = np.asarray(payload["inputs"], dtype=np.float64)
-        except (ValueError, KeyError, TypeError) as exc:
+            priority = int(payload.get("priority", 0))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise _HttpError(400, f"bad request body: {exc}") from None
-        priority = int(payload.get("priority", 0))
         deadline_s = payload.get("deadline_s")
         try:
             decision = await self._server.submit(
@@ -223,9 +226,9 @@ class AsyncGateway:
             )
         except KeyError as exc:
             raise _HttpError(404, str(exc)) from None
-        except (ValueError, TypeError) as exc:
+        except InvalidRequestError as exc:
             raise _HttpError(400, str(exc)) from None
-        except RuntimeError as exc:  # ServerStoppedError and kin
+        except ServerStoppedError as exc:
             raise _HttpError(503, str(exc)) from None
         trace_id = getattr(decision.decision, "trace_id", None)
         try:
@@ -293,8 +296,17 @@ class AsyncGateway:
             "inflight": self._server.inflight,
             "overload_state": self._overload_state(),
         }
-        if sync_server.admission is not None:
-            health["admission"] = vars(sync_server.admission.counters())
+        admission = sync_server.admission
+        if admission is not None:
+            # Decision counts come from the server's collector (the one
+            # store of them); the controller owns only its state machine.
+            stats = sync_server.statistics()
+            health["admission"] = {
+                "accepted": stats.requests_submitted - stats.requests_downgraded,
+                "downgraded": stats.requests_downgraded,
+                "shed": stats.requests_shed,
+                "state_transitions": admission.counters().state_transitions,
+            }
         pools = {}
         registry = sync_server.registry
         for name in registry.names():

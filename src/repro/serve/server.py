@@ -51,6 +51,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import threading
 import time
 from collections import deque
@@ -77,7 +78,12 @@ from repro.serve.scheduler import (
 )
 from repro.telemetry import RequestTrace, TelemetryCollector, Tracer
 
-__all__ = ["InferenceServer", "ServerStatistics", "ServerStoppedError"]
+__all__ = [
+    "InferenceServer",
+    "InvalidRequestError",
+    "ServerStatistics",
+    "ServerStoppedError",
+]
 
 
 class ServerStoppedError(RuntimeError):
@@ -87,6 +93,17 @@ class ServerStoppedError(RuntimeError):
     call sites keep working.  The check runs *before* admission control and
     any counter updates, so a rejected submit leaves no trace in the
     admission/telemetry accounting.
+    """
+
+
+class InvalidRequestError(ValueError):
+    """Raised by :meth:`InferenceServer.submit` for inputs it cannot serve.
+
+    Covers every input rejection: non-numeric inputs, a wrong shape, an
+    empty batch, NaN/inf values and a non-numeric or non-positive
+    ``deadline_s``.  Subclasses :class:`ValueError` so pre-existing
+    ``except ValueError`` call sites keep working; the HTTP gateway maps
+    exactly this type to ``400``.  A rejected submit bumps no counter.
     """
 
 
@@ -113,7 +130,15 @@ def _clone_error(error: BaseException) -> BaseException:
 
 @dataclass
 class ServerStatistics:
-    """Aggregate serving counters (snapshot via :meth:`InferenceServer.statistics`)."""
+    """Aggregate serving counters (snapshot via :meth:`InferenceServer.statistics`).
+
+    A view summed from the server's
+    :class:`~repro.telemetry.TelemetryCollector` per-model aggregates, the
+    one store of these counts.  ``requests_submitted`` counts enqueued
+    requests (accepted plus downgraded); batch counters count successful
+    engine runs, under the name of the model (or fleet variant) that
+    executed them.
+    """
 
     requests_submitted: int = 0
     requests_completed: int = 0
@@ -218,15 +243,18 @@ class InferenceServer:
         Worker threads executing coalesced batches; batches of different
         models run concurrently, batches of one model always serialise.
     telemetry:
-        Optional :class:`~repro.telemetry.TelemetryCollector`.  When set, the
-        server records a :class:`~repro.telemetry.RequestTrace` per completed
+        Optional :class:`~repro.telemetry.TelemetryCollector`.  The server
+        records a :class:`~repro.telemetry.RequestTrace` per completed
         request (queue wait, batch size, engine wall time, modeled energy --
-        total and per-component -- and latency from the model's cost tables)
-        plus one engine-run record per coalesced batch, and the scheduler's
-        deadline slack uses the collector's calibrated latency predictions.
-        Cost models registered on the
-        :class:`~repro.serve.registry.ModelRegistry` (via its ``arch``
-        parameter) are attached to the collector automatically.
+        total and per-component -- and latency from the model's cost tables),
+        one engine-run record per coalesced batch, every admission outcome
+        and every failed request; :meth:`statistics` is derived from these
+        records.  With a collector the scheduler's deadline slack and
+        admission use its calibrated latency predictions, and cost models
+        registered on the :class:`~repro.serve.registry.ModelRegistry` (via
+        its ``arch`` parameter) are attached to it automatically.  Without
+        one (``None``, the default) the server counts into a private
+        collector with no cost models and makes no latency predictions.
     slo_scheduling:
         Whether pending priorities/deadlines reorder dispatch (SLO-aware
         scheduling).  Enabled by default -- a no-op while no request carries
@@ -284,6 +312,9 @@ class InferenceServer:
         self.policy = policy or BatchingPolicy()
         self.max_workers = max_workers
         self.telemetry = telemetry
+        # The one store of every serving counter: the caller's collector,
+        # or a private one (no cost models, never predicts) without it.
+        self._collector = telemetry if telemetry is not None else TelemetryCollector()
         self.slo_scheduling = slo_scheduling
         self.admission = admission
         self.tracer = tracer
@@ -308,8 +339,6 @@ class InferenceServer:
         self._wired_cost_models: set[str] = set()
         self._wired_generation = -1
         self._queue = self._make_queue()
-        self._stats = ServerStatistics()
-        self._stats_lock = threading.Lock()
         # Per-executor/per-noise lock entries, keyed by object id.  The
         # table is pruned whenever the registry generation changes (see
         # _engine_locks), so long-running servers that register/unregister
@@ -439,7 +468,8 @@ class InferenceServer:
         ``(n_samples, *model.input_shape)`` of finite values.  Validation
         happens here so bad requests fail fast instead of poisoning a
         coalesced batch: NaN or infinite inputs would otherwise quantize to
-        silent garbage.
+        silent garbage.  Every rejected input raises
+        :class:`InvalidRequestError`.
 
         ``priority`` (higher dispatches first) and ``deadline_s`` (seconds
         from now after which the result stops being useful) opt the request
@@ -463,21 +493,32 @@ class InferenceServer:
                 "inference server is stopped; call start() before submitting"
             )
         model = self.registry.model(model_name)  # raises KeyError if unknown
-        batch = np.asarray(inputs, dtype=np.float64)
+        try:
+            batch = np.asarray(inputs, dtype=np.float64)
+        except (TypeError, ValueError) as error:
+            raise InvalidRequestError(
+                f"inputs for model {model_name!r} are not numeric: {error}"
+            ) from error
         if batch.ndim != len(model.input_shape) + 1 or batch.shape[0] == 0:
-            raise ValueError(
+            raise InvalidRequestError(
                 f"expected inputs of shape (n_samples, "
                 f"{', '.join(map(str, model.input_shape))}), got {batch.shape}"
             )
         if batch.shape[1:] != model.input_shape:
-            raise ValueError(
+            raise InvalidRequestError(
                 f"model {model_name!r} takes samples of shape "
                 f"{model.input_shape}, got {batch.shape[1:]}"
             )
         if not np.isfinite(batch).all():
-            raise ValueError(f"inputs for model {model_name!r} contain NaN or inf")
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError("deadline_s must be positive (seconds from now)")
+            raise InvalidRequestError(
+                f"inputs for model {model_name!r} contain NaN or inf"
+            )
+        if deadline_s is not None and not (
+            isinstance(deadline_s, numbers.Real) and deadline_s > 0
+        ):
+            raise InvalidRequestError(
+                f"deadline_s must be positive (seconds from now), got {deadline_s!r}"
+            )
         self._wire_cost_model(model_name)
         self._wire_trace_observer(model_name)
         request_id = next(self._request_ids)
@@ -514,10 +555,7 @@ class InferenceServer:
         if decision.status == DOWNGRADED:
             priority, deadline_s = 0, None
         if not decision.accepted:
-            if self.telemetry is not None and self.admission is not None:
-                self.telemetry.record_admission(decision)
-            with self._stats_lock:
-                self._stats.requests_shed += 1
+            self._collector.record_admission(decision)
             if tracer is not None:
                 tracer.record_event(
                     "request_shed",
@@ -547,22 +585,13 @@ class InferenceServer:
         try:
             self._queue.submit(request)
         except RuntimeError as error:
-            if self.admission is not None:
-                # decide() already counted the decision; the request never
-                # entered the system, so take the count back.
-                self.admission.retract(decision)
             if handle is not None:
                 handle.finish(status="stopped")
             raise ServerStoppedError(
                 "inference server stopped while submitting; call start() "
                 "before submitting"
             ) from error
-        if self.telemetry is not None and self.admission is not None:
-            self.telemetry.record_admission(decision)
-        with self._stats_lock:
-            self._stats.requests_submitted += 1
-            if decision.status == DOWNGRADED:
-                self._stats.requests_downgraded += 1
+        self._collector.record_admission(decision)
         return decision
 
     def _admission_decision(
@@ -754,17 +783,29 @@ class InferenceServer:
         return decision.result(timeout)
 
     def statistics(self) -> ServerStatistics:
-        """A consistent snapshot of the serving counters."""
-        with self._stats_lock:
-            snapshot = ServerStatistics(
-                **{
-                    name: value
-                    for name, value in vars(self._stats).items()
-                    if name != "batches_per_model"
-                }
+        """A consistent snapshot of the serving counters.
+
+        Summed from the collector's per-model aggregates, which are read
+        under one lock; a collector shared by several servers reports their
+        combined totals.
+        """
+        stats = ServerStatistics()
+        for name, aggregate in self._collector.aggregates().items():
+            stats.requests_submitted += (
+                aggregate.admitted_requests + aggregate.downgraded_requests
             )
-            snapshot.batches_per_model = dict(self._stats.batches_per_model)
-            return snapshot
+            stats.requests_completed += aggregate.requests
+            stats.requests_failed += aggregate.failed_requests
+            stats.requests_shed += aggregate.shed_requests
+            stats.requests_downgraded += aggregate.downgraded_requests
+            stats.batches_executed += aggregate.engine_runs
+            stats.samples_executed += aggregate.engine_run_samples
+            stats.max_batch_size = max(stats.max_batch_size, aggregate.max_batch_size)
+            stats.engine_time_s += aggregate.engine_run_s
+            stats.queue_wait_s += aggregate.queue_wait_s
+            if aggregate.engine_runs:
+                stats.batches_per_model[name] = aggregate.engine_runs
+        return stats
 
     @property
     def pending_requests(self) -> int:
@@ -914,8 +955,7 @@ class InferenceServer:
         decided = time.monotonic()
         entry.engine_name = decision.variant
         entry.route = decision
-        if self.telemetry is not None:
-            self.telemetry.record_route(decision, reroute=reroute)
+        self._collector.record_route(decision, reroute=reroute)
         if reroute and self.tracer is not None:
             self.tracer.record_event(
                 "fleet_reroute",
@@ -1050,9 +1090,7 @@ class InferenceServer:
             while True:
                 try:
                     engine = self.registry.engine(entry.engine_name)
-                    outputs, engine_time, engine_records = self._run_engine(
-                        engine, inputs, sizes, sink, trace_ctx
-                    )
+                    outputs, run = self._run_engine(engine, inputs, sink, trace_ctx)
                     break
                 except BaseException:
                     # Zero-loss drain: a routed batch whose variant was
@@ -1070,70 +1108,41 @@ class InferenceServer:
                         raise
         except BaseException as error:
             self._retire_dispatch(entry)
-            for request in batch:
-                request.future._set_error(_clone_error(error))
-            with self._stats_lock:
-                self._stats.requests_failed += len(batch)
-            if traced:
-                failed_at = time.monotonic()
-                self._finish_traces(
-                    traced,
-                    sink,
-                    dispatched,
-                    delivered=failed_at,
-                    completed=failed_at,
-                    status="error",
-                    error=type(error).__name__,
-                )
+            try:
+                self._collector.record_failed(entry.engine_name, len(batch))
+                if traced:
+                    self._finish_traces(
+                        traced,
+                        sink,
+                        dispatched,
+                        delivered=time.monotonic(),
+                        status="error",
+                        error=type(error).__name__,
+                    )
+            finally:
+                for request in batch:
+                    request.future._set_error(_clone_error(error))
             return
         bounds = np.cumsum(sizes)[:-1]
         results = np.split(outputs, bounds, axis=0)
         delivered = time.monotonic()
-        completed = delivered
-        # All accounting (server stats, traces, telemetry) is finalised
-        # *before* the futures resolve: a caller woken by ``result()`` must
-        # see its own request already reflected in ``statistics()``.  The
-        # ``finally`` guarantees the futures resolve even if accounting
-        # raises.
+        # All accounting is finalised *before* the futures resolve: a caller
+        # woken by ``result()`` must see its own request already reflected
+        # in ``statistics()`` and its trace already in the flight recorder.
+        # Telemetry is recorded before the traces close, so each trace's
+        # ``complete`` span covers the accounting.  The ``finally``
+        # guarantees the futures resolve even if accounting raises.
         try:
             self._retire_dispatch(entry)
-            with self._stats_lock:
-                stats = self._stats
-                stats.requests_completed += len(batch)
-                stats.batches_executed += 1
-                stats.samples_executed += int(sum(sizes))
-                stats.max_batch_size = max(stats.max_batch_size, int(sum(sizes)))
-                stats.engine_time_s += engine_time
-                stats.queue_wait_s += sum(
-                    dispatched - request.enqueued_at for request in batch
-                )
-                # Routed batches are counted under the variant that actually
-                # executed them (the fleet-level totals live in the telemetry
-                # collector's routing counters).
-                stats.batches_per_model[entry.engine_name] = (
-                    stats.batches_per_model.get(entry.engine_name, 0) + 1
-                )
+            self._record_telemetry(entry, engine, run, dispatched, delivered)
             if traced:
                 self._finish_traces(
                     traced,
                     sink,
                     dispatched,
                     delivered=delivered,
-                    completed=completed,
                     status="ok",
-                    batch_size=int(sum(sizes)),
-                )
-            if self.telemetry is not None:
-                if entry.route is not None:
-                    self.telemetry.record_route_outcome(entry.route)
-                self._record_telemetry(
-                    entry,
-                    engine,
-                    sizes,
-                    dispatched,
-                    completed,
-                    engine_time,
-                    engine_records,
+                    batch_size=run[0],
                 )
         finally:
             for request, result in zip(batch, results):
@@ -1143,21 +1152,23 @@ class InferenceServer:
         self,
         engine,
         inputs: np.ndarray,
-        sizes: list[int],
         sink: list[dict] | None,
         trace_ctx: tuple | None,
-    ) -> tuple[np.ndarray, float, list[tuple]]:
-        """Run one coalesced batch on ``engine``; returns outputs + timings."""
+    ) -> tuple[np.ndarray, tuple[int, float, str | None]]:
+        """Run one coalesced batch on ``engine`` -> ``(outputs, record)``.
+
+        ``record`` is the batch's one engine-run record,
+        ``(n_samples, elapsed_s, replica)``; ``replica`` is ``None`` for
+        in-process engines.
+        """
         if getattr(engine, "worker_owns_state", False):
             # Process-backed engine: all mutable state lives in the
             # worker, which serialises its own requests -- no executor
-            # locks.  Timing and engine-run records are measured inside
-            # the worker, so telemetry calibration never sees IPC cost.
-            # A replica pool additionally absorbs worker crashes here:
-            # the batch is requeued onto a healthy sibling inside
-            # run_timed, so a crash never surfaces as request failures.
-            if sink is None:
-                return engine.run_timed(inputs)
+            # locks.  The record is timed inside the worker, so
+            # telemetry calibration never sees IPC cost.  A replica pool
+            # additionally absorbs worker crashes here: the batch is
+            # requeued onto a healthy sibling inside run_timed, so a crash
+            # never surfaces as request failures.
             return engine.run_timed(inputs, trace_ctx=trace_ctx, span_sink=sink)
         entries = self._engine_locks(engine)
         try:
@@ -1170,7 +1181,6 @@ class InferenceServer:
                 engine_time = time.perf_counter() - start
         finally:
             self._release_engine_locks(entries)
-        engine_records = [(int(sum(sizes)), engine_time)]
         if sink is not None:
             # Thread-backed engines run in-process: the engine span
             # is parent-measured (same pid/tid as the worker thread).
@@ -1183,7 +1193,7 @@ class InferenceServer:
                     "status": "ok",
                 }
             )
-        return outputs, engine_time, engine_records
+        return outputs, (int(inputs.shape[0]), engine_time, None)
 
     def _finish_traces(
         self,
@@ -1192,7 +1202,6 @@ class InferenceServer:
         dispatched: float,
         *,
         delivered: float,
-        completed: float,
         status: str,
         error: str | None = None,
         batch_size: int | None = None,
@@ -1204,10 +1213,11 @@ class InferenceServer:
         (formation -> worker pickup), ``execute`` (pickup -> outputs
         delivered), the sink's ``worker_ipc``/``engine`` spans (clamped into
         the execute window as a cross-platform guard; on Linux worker clocks
-        share ``CLOCK_MONOTONIC`` so the clamp is a no-op), and ``complete``
-        (output split + future delivery).  Finishing freezes the span list,
-        which is what lets :meth:`_record_telemetry` snapshot it afterwards.
+        share ``CLOCK_MONOTONIC`` so the clamp is a no-op), and, for a
+        successful batch, ``complete`` (output split through the telemetry
+        accounting up to now, when the traces close).
         """
+        completed = time.monotonic() if status == "ok" else delivered
         for request in traced:
             handle = request.trace
             formed = request.formed_at or dispatched
@@ -1230,22 +1240,20 @@ class InferenceServer:
         self,
         entry: _DispatchedBatch,
         engine,
-        sizes: list[int],
+        run: tuple[int, float, str | None],
         dispatched: float,
         completed: float,
-        engine_time: float,
-        engine_records: list[tuple],
     ) -> None:
         """Feed one completed batch into the telemetry collector.
 
-        ``engine_records`` are the per-run ``(n_samples, elapsed_s)`` pairs
-        -- or ``(n_samples, elapsed_s, replica)`` triples from a replica
-        pool: measured server-side for in-process engines, shipped back over
-        the result pipe for process-backed ones -- either way they feed the
-        same calibration, so predicted latency stays grounded in engine
-        time.  Engines exposing ``pool_health()`` (replica pools) also get
-        their healthy/total replica counts and restart total snapshotted
-        into the collector per batch.
+        ``run`` is the batch's ``(n_samples, elapsed_s, replica)`` engine-run
+        record: measured server-side for in-process engines, inside the
+        worker for process-backed ones -- either way it feeds the same
+        calibration, so predicted latency stays grounded in engine time.
+        The run and the per-request traces land under one collector lock.
+        Engines exposing ``pool_health()`` (replica pools) also get their
+        healthy/total replica counts and restart total snapshotted into the
+        collector per batch.
 
         Routed fleet batches are recorded under the *variant* that executed
         them: calibration must stay per variant (the router's backlog-spill
@@ -1253,20 +1261,21 @@ class InferenceServer:
         energy attribution must use the executing architecture's tables.
         Fleet-level aggregates come from the collector's routing counters.
         """
-        batch = entry.requests
+        collector = self._collector
         name = entry.engine_name
-        batch_samples = int(sum(sizes))
-        self.telemetry.record_engine_runs(name, engine_records)
+        batch_samples, engine_time, _replica = run
+        if entry.route is not None:
+            collector.record_route_outcome(entry.route)
         pool_health = getattr(engine, "pool_health", None)
         if pool_health is not None:
             health = pool_health()
-            self.telemetry.record_pool_health(
+            collector.record_pool_health(
                 name,
                 healthy=health["healthy"],
                 replicas=health["replicas"],
                 restarts=health["restarts"],
             )
-        cost = self.telemetry.cost_model(name)
+        cost = collector.cost_model(name)
         # The pipeline-fill latency is paid once per coalesced batch, so each
         # request is charged its sample-weighted share of the *batch's*
         # modeled latency (mirroring engine_share_s for wall time); summing
@@ -1274,38 +1283,31 @@ class InferenceServer:
         batch_modeled_us = (
             None if cost is None else cost.batch_latency_us(batch_samples)
         )
-        for request in batch:
-            handle = request.trace
-            self.telemetry.record(
-                RequestTrace(
-                    request_id=request.request_id,
-                    model_name=name,
-                    n_samples=request.n_samples,
-                    priority=request.priority,
-                    deadline_s=request.deadline_s,
-                    enqueued_at=request.enqueued_at,
-                    dispatched_at=dispatched,
-                    completed_at=completed,
-                    batch_size=batch_samples,
-                    engine_time_s=engine_time,
-                    modeled_energy_pj=(
-                        None if cost is None else cost.energy_pj(request.n_samples)
-                    ),
-                    modeled_energy_components_pj=(
-                        None
-                        if cost is None
-                        else cost.energy_split_pj(request.n_samples)
-                    ),
-                    modeled_latency_us=(
-                        None
-                        if batch_modeled_us is None
-                        else batch_modeled_us * request.n_samples / batch_samples
-                    ),
-                    trace_id=None if handle is None else handle.trace_id,
-                    spans=(
-                        ()
-                        if handle is None
-                        else tuple(span.as_dict() for span in handle.spans())
-                    ),
-                )
+        traces = [
+            RequestTrace(
+                request_id=request.request_id,
+                model_name=name,
+                n_samples=request.n_samples,
+                priority=request.priority,
+                deadline_s=request.deadline_s,
+                enqueued_at=request.enqueued_at,
+                dispatched_at=dispatched,
+                completed_at=completed,
+                batch_size=batch_samples,
+                engine_time_s=engine_time,
+                modeled_energy_pj=(
+                    None if cost is None else cost.energy_pj(request.n_samples)
+                ),
+                modeled_energy_components_pj=(
+                    None if cost is None else cost.energy_split_pj(request.n_samples)
+                ),
+                modeled_latency_us=(
+                    None
+                    if batch_modeled_us is None
+                    else batch_modeled_us * request.n_samples / batch_samples
+                ),
+                trace_id=None if request.trace is None else request.trace.trace_id,
             )
+            for request in entry.requests
+        ]
+        collector.record_batch(name, run, traces)

@@ -5,11 +5,11 @@
 :class:`RequestTrace` per completed request (queue wait, coalesced batch
 size, engine wall time, modeled energy/latency from the request's
 :class:`~repro.telemetry.cost.CostModel`) plus one engine-run record per
-coalesced batch; :meth:`NetworkEngine.add_run_probe
-<repro.runtime.engine.NetworkEngine.add_run_probe>` feeds the same engine-run
-records for direct engine use outside the server.  Everything is exportable
-as JSON (:meth:`export_json`) and Prometheus text format
-(:meth:`to_prometheus`).
+coalesced batch, every admission outcome and every failed request.  It is
+the only store of those counts: the server's
+:class:`~repro.serve.server.ServerStatistics` and the gateway's admission
+counters are views derived from it.  Everything is exportable as JSON
+(:meth:`export_json`) and Prometheus text format (:meth:`to_prometheus`).
 
 Each hosted model name is a tenant, so the per-model aggregates double as the
 per-tenant accounting the multi-tenant registry needs.
@@ -149,12 +149,10 @@ class RequestTrace:
     batch total).  Modeled fields are ``None`` when the request's model has
     no attached cost model.
 
-    ``trace_id`` / ``spans`` tie the record to the distributed trace of the
-    same request (:mod:`repro.telemetry.tracing`): ``spans`` holds the
-    JSON-ready span dicts (:meth:`SpanRecord.as_dict
-    <repro.telemetry.tracing.SpanRecord.as_dict>`), so ``export_json``
-    consumers see the same per-stage timings the flight recorder dumps.
-    Both stay empty for unsampled requests or servers without a tracer.
+    ``trace_id`` ties the record to the distributed trace of the same
+    request (:mod:`repro.telemetry.tracing`); its spans live in the tracer's
+    flight recorder (``tracer.recorder.trace_events(trace_id)``).  ``None``
+    for unsampled requests or servers without a tracer.
     """
 
     request_id: int
@@ -171,7 +169,6 @@ class RequestTrace:
     modeled_latency_us: float | None = None
     modeled_energy_components_pj: dict[str, float] | None = None
     trace_id: str | None = None
-    spans: tuple[dict, ...] = ()
 
     @property
     def queue_wait_s(self) -> float:
@@ -213,7 +210,6 @@ class RequestTrace:
             "modeled_latency_us": self.modeled_latency_us,
             "deadline_missed": self.deadline_missed,
             "trace_id": self.trace_id,
-            "spans": [dict(span) for span in self.spans],
         }
 
 
@@ -222,8 +218,10 @@ class ModelAggregate:
     """Rolling per-model (= per-tenant) serving totals.
 
     ``admitted_requests`` / ``downgraded_requests`` / ``shed_requests`` count
-    admission-control outcomes (recorded at *submit* time, so they lead the
-    completion counters); ``modeled_energy_components_pj`` accumulates the
+    admission outcomes (recorded at *submit* time, so they lead the
+    completion counters; a server without an admission controller counts
+    every enqueued request as admitted); ``failed_requests`` counts requests
+    whose batch raised; ``modeled_energy_components_pj`` accumulates the
     per-request DAC/ADC/crossbar/digital attribution.
 
     Models hosted on a :class:`~repro.runtime.ReplicaPool` additionally
@@ -236,6 +234,7 @@ class ModelAggregate:
 
     model_name: str
     requests: int = 0
+    failed_requests: int = 0
     samples: int = 0
     queue_wait_s: float = 0.0
     engine_share_s: float = 0.0
@@ -278,6 +277,7 @@ class ModelAggregate:
         return {
             "model": self.model_name,
             "requests": self.requests,
+            "failed_requests": self.failed_requests,
             "samples": self.samples,
             "queue_wait_s": self.queue_wait_s,
             "mean_queue_wait_s": self.mean_queue_wait_s,
@@ -384,6 +384,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _PROMETHEUS_GAUGES = (
     ("requests_total", "Completed requests per model.", "requests"),
+    ("requests_failed_total", "Requests whose batch failed.", "failed_requests"),
     ("samples_total", "Input samples served per model.", "samples"),
     ("queue_wait_seconds_total", "Cumulative co-batching wait.", "queue_wait_s"),
     (
@@ -409,7 +410,7 @@ _PROMETHEUS_GAUGES = (
     ("engine_runs_total", "Engine batch executions observed.", "engine_runs"),
     (
         "admission_admitted_total",
-        "Requests admitted by admission control.",
+        "Requests admitted (all enqueued requests without admission control).",
         "admitted_requests",
     ),
     (
@@ -449,15 +450,6 @@ _PROMETHEUS_HISTOGRAMS = (
 #: Valid ``metric`` arguments of :meth:`TelemetryCollector.quantile`.
 _HISTOGRAM_KEYS = tuple(key for _suffix, _help, key in _PROMETHEUS_HISTOGRAMS)
 
-#: Overload state string -> numeric gauge level for the Prometheus export.
-#: Mirrors OverloadState.severity in repro.serve.admission (the serve layer
-#: imports telemetry, so telemetry cannot import the enum back).
-_OVERLOAD_SEVERITY = {
-    "accepting": 0,
-    "shed_best_effort": 1,
-    "shed_all_but_top": 2,
-}
-
 
 class TelemetryCollector:
     """Thread-safe request traces, per-model aggregates and exports.
@@ -487,9 +479,10 @@ class TelemetryCollector:
         # own backlog is empty, and admission opts into seeing that via
         # ``predicted_batch_latency_s(..., include_queue_wait=True)``.
         self._queue_wait_ema: dict[str, float] = {}
-        # Latest admission-control overload state string (None until a
-        # decision is recorded); see repro.serve.admission.OverloadState.
-        self._overload_state: str | None = None
+        # Latest admission-control overload state as (value, severity), None
+        # until a controller decision is recorded; see
+        # repro.serve.admission.OverloadState.
+        self._overload: tuple[str, int] | None = None
         self._lock = threading.Lock()
 
     # -- cost-model wiring -----------------------------------------------------
@@ -557,42 +550,69 @@ class TelemetryCollector:
     def record(self, trace: RequestTrace) -> None:
         """Record one completed request."""
         with self._lock:
-            self._traces.append(trace)
-            latency = self._histogram_locked(trace.model_name, "latency")
-            latency.observe(trace.latency_s)
-            queue_wait = self._histogram_locked(trace.model_name, "queue_wait")
-            queue_wait.observe(trace.queue_wait_s)
-            previous = self._queue_wait_ema.get(trace.model_name)
-            self._queue_wait_ema[trace.model_name] = (
-                trace.queue_wait_s
-                if previous is None
-                else previous + _CALIBRATION_ALPHA * (trace.queue_wait_s - previous)
-            )
-            aggregate = self._aggregate_locked(trace.model_name)
-            aggregate.requests += 1
-            aggregate.samples += trace.n_samples
-            aggregate.queue_wait_s += trace.queue_wait_s
-            aggregate.engine_share_s += trace.engine_share_s
-            aggregate.max_batch_size = max(aggregate.max_batch_size, trace.batch_size)
-            if trace.modeled_energy_pj is not None:
-                aggregate.modeled_energy_pj += trace.modeled_energy_pj
-            if trace.modeled_energy_components_pj is not None:
-                components = aggregate.modeled_energy_components_pj
-                for key, value in trace.modeled_energy_components_pj.items():
-                    components[key] = components.get(key, 0.0) + value
-            if trace.modeled_latency_us is not None:
-                aggregate.modeled_latency_us += trace.modeled_latency_us
-            if trace.deadline_s is not None:
-                aggregate.deadline_requests += 1
-                aggregate.deadline_misses += int(trace.deadline_missed)
+            self._record_locked(trace)
+
+    def _record_locked(self, trace: RequestTrace) -> None:
+        self._traces.append(trace)
+        latency = self._histogram_locked(trace.model_name, "latency")
+        latency.observe(trace.latency_s)
+        queue_wait = self._histogram_locked(trace.model_name, "queue_wait")
+        queue_wait.observe(trace.queue_wait_s)
+        previous = self._queue_wait_ema.get(trace.model_name)
+        self._queue_wait_ema[trace.model_name] = (
+            trace.queue_wait_s
+            if previous is None
+            else previous + _CALIBRATION_ALPHA * (trace.queue_wait_s - previous)
+        )
+        aggregate = self._aggregate_locked(trace.model_name)
+        aggregate.requests += 1
+        aggregate.samples += trace.n_samples
+        aggregate.queue_wait_s += trace.queue_wait_s
+        aggregate.engine_share_s += trace.engine_share_s
+        aggregate.max_batch_size = max(aggregate.max_batch_size, trace.batch_size)
+        if trace.modeled_energy_pj is not None:
+            aggregate.modeled_energy_pj += trace.modeled_energy_pj
+        if trace.modeled_energy_components_pj is not None:
+            components = aggregate.modeled_energy_components_pj
+            for key, value in trace.modeled_energy_components_pj.items():
+                components[key] = components.get(key, 0.0) + value
+        if trace.modeled_latency_us is not None:
+            aggregate.modeled_latency_us += trace.modeled_latency_us
+        if trace.deadline_s is not None:
+            aggregate.deadline_requests += 1
+            aggregate.deadline_misses += int(trace.deadline_missed)
+
+    def record_batch(
+        self, model_name: str, run: tuple, traces: list[RequestTrace]
+    ) -> None:
+        """Record one coalesced batch: its engine run and its requests.
+
+        ``run`` is the engine's ``(n_samples, elapsed_s, replica)`` record
+        (``replica`` is ``None`` for in-process engines).  Everything lands
+        under one lock acquisition, so a snapshot never sees the batch's
+        engine run without its completed requests, or the reverse.
+        """
+        n_samples, elapsed_s, replica = run
+        with self._lock:
+            self._engine_run_locked(model_name, n_samples, elapsed_s, replica)
+            for trace in traces:
+                self._record_locked(trace)
+
+    def record_failed(self, model_name: str, n_requests: int) -> None:
+        """Record ``n_requests`` requests whose batch raised."""
+        with self._lock:
+            self._aggregate_locked(model_name).failed_requests += n_requests
 
     def record_admission(self, decision) -> None:
-        """Record one admission-control outcome (accepted/downgraded/shed).
+        """Record one admission outcome (accepted/downgraded/shed).
 
         ``decision`` is an :class:`~repro.serve.admission.AdmissionDecision`
         (duck-typed here -- the serve layer imports telemetry, not the other
-        way around): its status feeds the per-model admission counters and
-        its overload state becomes the exported overload gauge.
+        way around): its status feeds the per-model admission counters.  A
+        controller's decision also sets the exported overload gauge from its
+        overload state's severity; a decision without queue evidence (a
+        server without admission control accepting trivially) leaves the
+        gauge alone.
         """
         with self._lock:
             aggregate = self._aggregate_locked(decision.model_name)
@@ -602,13 +622,15 @@ class TelemetryCollector:
                 aggregate.downgraded_requests += 1
             else:
                 aggregate.admitted_requests += 1
-            self._overload_state = decision.overload_state.value
+            if decision.queue_depth_samples is not None:
+                state = decision.overload_state
+                self._overload = (state.value, state.severity)
 
     @property
     def overload_state(self) -> str | None:
         """Latest recorded overload state (``None`` before any decision)."""
         with self._lock:
-            return self._overload_state
+            return None if self._overload is None else self._overload[0]
 
     def record_engine_run(
         self,
@@ -619,52 +641,40 @@ class TelemetryCollector:
     ) -> None:
         """Record one engine batch execution (also calibrates prediction).
 
-        The server calls this once per coalesced batch;
-        ``NetworkEngine.add_run_probe(collector.engine_probe(name))`` wires
-        the same record for engines driven outside the server.  ``replica``
-        (a :class:`~repro.runtime.ReplicaPool` slot label) additionally
+        For engines driven outside the server (the server records its runs
+        with :meth:`record_batch`).  ``replica`` (a
+        :class:`~repro.runtime.ReplicaPool` slot label) additionally
         attributes the run to that replica's own totals.
         """
         with self._lock:
-            aggregate = self._aggregate_locked(model_name)
-            aggregate.engine_runs += 1
-            aggregate.engine_run_samples += n_samples
-            aggregate.engine_run_s += elapsed_s
-            self._histogram_locked(model_name, "engine").observe(elapsed_s)
-            if replica is not None:
-                totals = aggregate.replica_engine_runs.setdefault(
-                    replica, {"runs": 0, "samples": 0, "seconds": 0.0}
+            self._engine_run_locked(model_name, n_samples, elapsed_s, replica)
+
+    def _engine_run_locked(
+        self, model_name: str, n_samples: int, elapsed_s: float, replica: str | None
+    ) -> None:
+        aggregate = self._aggregate_locked(model_name)
+        aggregate.engine_runs += 1
+        aggregate.engine_run_samples += n_samples
+        aggregate.engine_run_s += elapsed_s
+        self._histogram_locked(model_name, "engine").observe(elapsed_s)
+        if replica is not None:
+            totals = aggregate.replica_engine_runs.setdefault(
+                replica, {"runs": 0, "samples": 0, "seconds": 0.0}
+            )
+            totals["runs"] += 1
+            totals["samples"] += n_samples
+            totals["seconds"] += elapsed_s
+        cost = self._cost_models.get(model_name)
+        if cost is not None and n_samples > 0:
+            modeled = cost.batch_latency_s(n_samples)
+            if modeled > 0.0:
+                ratio = elapsed_s / modeled
+                previous = self._wall_per_modeled.get(model_name)
+                self._wall_per_modeled[model_name] = (
+                    ratio
+                    if previous is None
+                    else previous + _CALIBRATION_ALPHA * (ratio - previous)
                 )
-                totals["runs"] += 1
-                totals["samples"] += n_samples
-                totals["seconds"] += elapsed_s
-            cost = self._cost_models.get(model_name)
-            if cost is not None and n_samples > 0:
-                modeled = cost.batch_latency_s(n_samples)
-                if modeled > 0.0:
-                    ratio = elapsed_s / modeled
-                    previous = self._wall_per_modeled.get(model_name)
-                    self._wall_per_modeled[model_name] = (
-                        ratio
-                        if previous is None
-                        else previous
-                        + _CALIBRATION_ALPHA * (ratio - previous)
-                    )
-
-    def record_engine_runs(self, model_name: str, records: list[tuple]) -> None:
-        """Merge a batch of engine-run records.
-
-        Records are ``(n_samples, elapsed_s)`` pairs -- or
-        ``(n_samples, elapsed_s, replica)`` triples from a
-        :class:`~repro.runtime.ReplicaPool`.  The server uses this to fold
-        in worker-side records shipped back over a process backend's result
-        pipe; each record calibrates prediction exactly like a locally
-        observed run.
-        """
-        for record in records:
-            n_samples, elapsed_s = record[0], record[1]
-            replica = record[2] if len(record) > 2 else None
-            self.record_engine_run(model_name, n_samples, elapsed_s, replica=replica)
 
     def record_route(self, decision, *, reroute: bool = False) -> None:
         """Record one fleet routing decision at batch formation.
@@ -735,14 +745,6 @@ class TelemetryCollector:
             aggregate.replicas_healthy = healthy
             aggregate.replicas_total = replicas
             aggregate.worker_restarts = max(aggregate.worker_restarts, restarts)
-
-    def engine_probe(self, model_name: str):
-        """A :meth:`NetworkEngine.add_run_probe` callback feeding this collector."""
-
-        def probe(n_samples: int, elapsed_s: float) -> None:
-            self.record_engine_run(model_name, n_samples, elapsed_s)
-
-        return probe
 
     # -- snapshots -------------------------------------------------------------
 
@@ -857,8 +859,8 @@ class TelemetryCollector:
                     name: aggregate.as_dict()
                     for name, aggregate in self._fleets.items()
                 }
-            if self._overload_state is not None:
-                payload["overload_state"] = self._overload_state
+            if self._overload is not None:
+                payload["overload_state"] = self._overload[0]
             if include_traces:
                 payload["traces"] = [trace.as_dict() for trace in self._traces]
         return json.dumps(payload, indent=indent)
@@ -884,7 +886,8 @@ class TelemetryCollector:
         """Render the aggregates in the Prometheus text exposition format."""
         aggregates = self.aggregates()
         histograms = self._histogram_snapshots()
-        overload_state = self.overload_state
+        with self._lock:
+            overload = self._overload
         lines: list[str] = []
         for suffix, help_text, attribute in _PROMETHEUS_GAUGES:
             metric = f"{prefix}_{suffix}"
@@ -1035,9 +1038,9 @@ class TelemetryCollector:
                     label = self._escape_label(name)
                     value = getattr(fleets[name], attribute)
                     lines.append(f'{metric}{{fleet="{label}"}} {value}')
-        if overload_state is not None:
+        if overload is not None:
             metric = f"{prefix}_overload_state"
-            level = _OVERLOAD_SEVERITY.get(overload_state, -1)
+            level = overload[1]
             lines.append(
                 f"# HELP {metric} Admission overload state "
                 "(0 accepting, 1 shedding best-effort, 2 shedding all but top)."

@@ -131,7 +131,7 @@ class SpanRecord:
         return max(0.0, self.end_s - self.start_s)
 
     def as_dict(self) -> dict:
-        """JSON-ready representation (what ``RequestTrace.spans`` carries)."""
+        """JSON-ready representation."""
         return {
             "name": self.name,
             "trace_id": self.trace_id,

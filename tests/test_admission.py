@@ -25,6 +25,7 @@ import pytest
 from repro.hw import RAELLA_ARCH
 from repro.serve import (
     AdmissionController,
+    AdmissionCounters,
     AdmissionPolicy,
     BatchingPolicy,
     InferenceServer,
@@ -35,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve.scheduler import InferenceFuture, InferenceRequest
 from repro.serve.server import _DispatchedBatch
+from repro.telemetry import TelemetryCollector
 
 
 def per_sample_predictor(seconds_per_sample):
@@ -219,14 +221,17 @@ class TestControllerRules:
         assert decision.predicted_latency_s is None
 
     def test_counters_accumulate(self):
+        # The controller only decides; the collector is the one store of
+        # decision counts (the server records each decision once).
         controller = AdmissionController(AdmissionPolicy(max_queue_samples_per_model=2))
-        decide(controller, n_samples=1)
-        decide(controller, n_samples=1)
-        decide(controller, n_samples=4)  # over the cap
-        counters = controller.counters()
-        assert counters.accepted == 2
-        assert counters.shed == 1
-        assert counters.decisions == 3
+        collector = TelemetryCollector()
+        for n_samples in (1, 1, 4):  # the last one is over the cap
+            collector.record_admission(decide(controller, n_samples=n_samples))
+        aggregate = collector.aggregate("m")
+        assert aggregate.admitted_requests == 2
+        assert aggregate.shed_requests == 1
+        assert aggregate.downgraded_requests == 0
+        assert controller.counters() == AdmissionCounters(state_transitions=0)
 
 
 class TestOverloadStateMachine:
@@ -314,87 +319,66 @@ class TestOverloadStateMachine:
         assert decision.status == "shed"
 
 
-class TestRetract:
-    """``retract`` undoes exactly one decision's counter -- the contract the
-    server's stop/submit race handling leans on."""
+class TestCounterReconciliation:
+    """Every view of the serving counters is derived from the one collector,
+    so they agree exactly under a mixed load."""
 
-    def test_retract_rolls_back_each_status(self):
-        policy = AdmissionPolicy(
-            max_queue_samples_per_model=4, deadline_policy="downgrade"
-        )
-        controller = AdmissionController(policy)
-        accepted = decide(controller, n_samples=1)
-        downgraded = decide(
-            controller,
-            n_samples=1,
-            deadline_s=0.0001,
-            predictor=per_sample_predictor(1.0),
-        )
-        shed = decide(controller, n_samples=1, backlog={"m": 4})
-        statuses = [d.status for d in (accepted, downgraded, shed)]
-        assert statuses == ["accepted", "downgraded", "shed"]
-        before = controller.counters()
-        assert (before.accepted, before.downgraded, before.shed) == (1, 1, 1)
-        for decision in (accepted, downgraded, shed):
-            controller.retract(decision)
-        after = controller.counters()
-        assert (after.accepted, after.downgraded, after.shed) == (0, 0, 0)
-        # State transitions are deliberately untouched by retract.
-        assert after.state_transitions == before.state_transitions
-
-    def test_concurrent_decide_retract_storm_conserves_counters(self):
-        """Counters stay exact when many threads decide and retract at once
-        (the controller-level shape of the stop/submit race)."""
-        controller = AdmissionController(AdmissionPolicy())
-        retracted = threading.Barrier(4)
-        kept_per_thread = 25
-
-        def worker():
-            retracted.wait()
-            for i in range(100):
-                decision = decide(controller, n_samples=1)
-                if i % 4:  # 75 of 100 "failed to enqueue" and roll back
-                    controller.retract(decision)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        counters = controller.counters()
-        assert counters.accepted == 4 * kept_per_thread
-        assert counters.shed == 0
-
-    def test_stop_submit_race_never_leaks_a_count(self, tiny_mlp_model, rng):
-        """Hammer submit from several threads while the server stops and
-        restarts: every ServerStoppedError must leave no admission count,
-        so accepted decisions equal requests actually enqueued."""
+    def test_mixed_load_reconciles_every_view(self, tiny_mlp_model, rng):
         registry = ModelRegistry()
-        registry.register("mlp", tiny_mlp_model)
-        admission = AdmissionController(AdmissionPolicy())
-        server = InferenceServer(registry, admission=admission)
-        inputs = np.abs(rng.normal(0, 1, size=(1, 16)))
+        registry.register("mlp", tiny_mlp_model, arch=RAELLA_ARCH)
+        registry.register("flaky", tiny_mlp_model)
+
+        def explode(inputs, **kwargs):
+            raise RuntimeError("tile power loss")
+
+        registry.engine("flaky").run = explode
+        telemetry = TelemetryCollector()
+        # Every deadline is unmeetable at 10 s/sample: SLO-tagged requests
+        # are downgraded, best-effort ones accepted, oversized ones shed.
+        admission = AdmissionController(
+            AdmissionPolicy(
+                max_queue_samples_per_model=64, deadline_policy="downgrade"
+            ),
+            latency_predictor=per_sample_predictor(10.0),
+        )
+        server = InferenceServer(
+            registry,
+            BatchingPolicy(max_batch_size=8, max_delay_s=0.001),
+            telemetry=telemetry,
+            admission=admission,
+        )
+        inputs = np.abs(rng.normal(0, 1, size=(2, 16)))
+        tally = {"accepted": 0, "downgraded": 0, "shed": 0, "rejected": 0}
+        attempts = 0
+        lock = threading.Lock()
         done = threading.Event()
-        attempts, rejected = 0, 0
-        tally = threading.Lock()
+
+        def count(status):
+            with lock:
+                tally[status] += 1
 
         def submitter():
-            nonlocal attempts, rejected
+            nonlocal attempts
             while not done.is_set():
                 try:
-                    server.submit("mlp", inputs)
-                    with tally:
-                        attempts += 1
+                    count(server.submit("mlp", inputs).status)
                 except ServerStoppedError:
-                    with tally:
-                        attempts += 1
-                        rejected += 1
+                    count("rejected")
+                with lock:
+                    attempts += 1
 
         server.start()
+        for _ in range(3):
+            count(server.submit("mlp", inputs, deadline_s=0.5).status)
+            count(server.submit("mlp", np.zeros((65, 16))).status)
+            count(server.submit("flaky", inputs).status)
+        # The stop/submit race: stop() closes the queue under submitters
+        # that already passed the fail-fast check; a request that was never
+        # enqueued must leave no count anywhere.
         threads = [threading.Thread(target=submitter) for _ in range(4)]
         for thread in threads:
             thread.start()
-        for _ in range(8):  # keep closing the queue under the submitters
+        for _ in range(8):
             time.sleep(0.002)
             server.stop()
             server.start()
@@ -402,11 +386,93 @@ class TestRetract:
         for thread in threads:
             thread.join()
         server.stop()
+        assert tally["rejected"] > 0, "the race never fired; tighten the schedule"
+        assert sum(tally.values()) == attempts + 9
+
         stats = server.statistics()
-        counters = admission.counters()
-        assert rejected > 0, "the race never fired; tighten the schedule"
-        assert counters.accepted == stats.requests_submitted
-        assert counters.accepted + rejected == attempts
+        aggregates = telemetry.aggregates()
+        total = {
+            field: sum(getattr(a, field) for a in aggregates.values())
+            for field in (
+                "admitted_requests",
+                "downgraded_requests",
+                "shed_requests",
+                "failed_requests",
+                "requests",
+                "engine_runs",
+                "engine_run_samples",
+            )
+        }
+        assert total["admitted_requests"] == tally["accepted"]
+        assert total["downgraded_requests"] == tally["downgraded"] == 3
+        # The racing submitters may also run into the depth cap.
+        assert total["shed_requests"] == tally["shed"] >= 3
+        assert total["failed_requests"] == 3
+        assert aggregates["flaky"].failed_requests == 3
+        assert stats.requests_submitted == tally["accepted"] + tally["downgraded"]
+        assert stats.requests_downgraded == tally["downgraded"]
+        assert stats.requests_shed == tally["shed"]
+        assert stats.requests_failed == 3
+        # Drained: every enqueued request either completed or failed.
+        assert stats.requests_completed == total["requests"]
+        assert stats.requests_completed + stats.requests_failed == (
+            stats.requests_submitted
+        )
+        assert stats.batches_executed == total["engine_runs"]
+        assert stats.samples_executed == total["engine_run_samples"]
+        assert stats.samples_executed == 2 * stats.requests_completed
+        assert stats.batches_per_model == {"mlp": aggregates["mlp"].engine_runs}
+
+        health = self._healthz(server)
+        assert health["admission"] == {
+            "accepted": tally["accepted"],
+            "downgraded": tally["downgraded"],
+            "shed": tally["shed"],
+            "state_transitions": admission.counters().state_transitions,
+        }
+        exported = self._prometheus_counters(telemetry.to_prometheus())
+        for family, field in (
+            ("repro_admission_admitted_total", "admitted_requests"),
+            ("repro_admission_downgraded_total", "downgraded_requests"),
+            ("repro_admission_shed_total", "shed_requests"),
+            ("repro_requests_failed_total", "failed_requests"),
+            ("repro_requests_total", "requests"),
+            ("repro_engine_runs_total", "engine_runs"),
+        ):
+            for name, aggregate in aggregates.items():
+                assert exported[(family, name)] == getattr(aggregate, field)
+
+    @staticmethod
+    def _healthz(server) -> dict:
+        import asyncio
+        import http.client
+        import json
+
+        from repro.serve import AsyncGateway, AsyncInferenceServer
+
+        def get(address):
+            conn = http.client.HTTPConnection(*address, timeout=30)
+            conn.request("GET", "/healthz")
+            return json.loads(conn.getresponse().read())
+
+        async def scenario():
+            async with AsyncGateway(AsyncInferenceServer(server=server)) as gateway:
+                return await asyncio.to_thread(get, gateway.address)
+
+        return asyncio.run(scenario())
+
+    @staticmethod
+    def _prometheus_counters(text: str) -> dict[tuple[str, str], float]:
+        counters = {}
+        for line in text.splitlines():
+            if line.startswith("#") or '{model="' not in line:
+                continue
+            sample, value = line.rsplit(" ", 1)
+            family, _, label = sample.partition('{model="')
+            if '"' in label[:-2]:  # a second label: not a per-model counter
+                continue
+            counters[(family, label[:-2])] = float(value)
+        return counters
 
 
 @pytest.fixture

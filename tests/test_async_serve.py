@@ -26,6 +26,7 @@ import pytest
 
 from repro.serve import (
     AdmissionController,
+    AdmissionCounters,
     AdmissionPolicy,
     AsyncGateway,
     AsyncInferenceServer,
@@ -141,7 +142,7 @@ class TestAsyncLifecycle:
 
         stats = asyncio.run(scenario())
         assert stats.requests_submitted == 1
-        assert admission.counters().decisions == 1
+        assert admission.counters() == AdmissionCounters()
         assert telemetry.aggregate("mlp").admitted_requests == 1
 
 
@@ -199,12 +200,12 @@ class TestFaultInjection:
         registry = ModelRegistry()
         registry.register("mlp", tiny_mlp_model, backend="process", replicas=2)
         pool = registry.engine("mlp")
-        events = []
-        pool.add_completion_callback(events.append)
+        telemetry = TelemetryCollector()
         inputs = make_inputs(8)
 
         async def scenario():
-            async with AsyncInferenceServer(registry, POLICY) as server:
+            server = AsyncInferenceServer(registry, POLICY, telemetry=telemetry)
+            async with server:
                 decisions = await asyncio.gather(
                     *[server.submit("mlp", r) for r in inputs]
                 )
@@ -219,12 +220,19 @@ class TestFaultInjection:
             reference.register("mlp", tiny_mlp_model)
             direct = [reference.engine("mlp").run(r) for r in inputs]
             assert all(np.array_equal(a, b) for a, b in zip(results, direct))
-            # The completion hook saw every sample exactly once, whatever
-            # mix of clean runs and crash-requeues delivered them.
-            assert sum(e["n_samples"] for e in events) == sum(
-                r.shape[0] for r in inputs
+            # The collector's engine runs saw every sample exactly once,
+            # whatever mix of clean runs and crash-requeues delivered them,
+            # and every run is attributed to the replica that served it.
+            aggregate = telemetry.aggregate("mlp")
+            n_samples = sum(r.shape[0] for r in inputs)
+            assert aggregate.engine_run_samples == n_samples
+            per_replica = aggregate.replica_engine_runs.values()
+            assert sum(totals["samples"] for totals in per_replica) == n_samples
+            assert sum(totals["runs"] for totals in per_replica) == (
+                aggregate.engine_runs
             )
-            assert all(e["replica"] is not None for e in events)
+            assert aggregate.requests == len(inputs)
+            assert aggregate.failed_requests == 0
             # The pool heals before we tear it down.
             deadline = time.monotonic() + 30
             while pool.healthy_replicas < 2:
@@ -461,13 +469,20 @@ class TestGateway:
                 return server.statistics()
 
         assert asyncio.run(scenario()).requests_submitted == 0
-        assert admission.counters().decisions == 0
+        assert admission.counters() == AdmissionCounters()
         assert telemetry.aggregates() == {}
 
     def test_error_mapping(self, registry):
+        valid = {"model": "mlp", "inputs": [[0.0] * 16]}
         probes = [
             ("POST", "/v1/infer", {"model": "nope", "inputs": [[0.0] * 16]}, 404),
             ("POST", "/v1/infer", {"inputs": [[0.0] * 16]}, 400),
+            ("POST", "/v1/infer", {"model": "mlp", "inputs": [[0.0] * 15]}, 400),
+            ("POST", "/v1/infer", {**valid, "priority": "high"}, 400),
+            ("POST", "/v1/infer", {**valid, "priority": None}, 400),
+            ("POST", "/v1/infer", {**valid, "priority": float("inf")}, 400),
+            ("POST", "/v1/infer", {**valid, "deadline_s": "soon"}, 400),
+            ("POST", "/v1/infer", {**valid, "deadline_s": -1.0}, 400),
             ("GET", "/v1/infer", None, 405),
             ("GET", "/nope", None, 404),
             ("POST", "/v1/models", None, 405),
@@ -487,3 +502,24 @@ class TestGateway:
                     assert status == expected, (method, path, status)
 
         asyncio.run(scenario())
+
+    def test_unexpected_submit_errors_are_server_errors(self, registry):
+        """Only :class:`InvalidRequestError` blames the client: any other
+        exception from inside ``submit`` -- a plain ``ValueError`` included
+        -- is a 500."""
+        valid = {"model": "mlp", "inputs": [[0.0] * 16]}
+
+        def broken_submit(*args, **kwargs):
+            raise ValueError("bookkeeping bug")
+
+        async def scenario():
+            server = AsyncInferenceServer(registry, POLICY)
+            server.server.submit = broken_submit
+            async with server, AsyncGateway(server) as gateway:
+                return await asyncio.to_thread(
+                    gateway_call, gateway.address, "POST", "/v1/infer", valid
+                )
+
+        status, _ctype, body = asyncio.run(scenario())
+        assert status == 500
+        assert json.loads(body) == {"error": "internal error"}

@@ -319,11 +319,12 @@ class TestFleetServing:
         inputs = rng.normal(0.0, 1.0, size=(2, 16))
         self.drain(server, [(("mlp", inputs), {})])
         (trace,) = telemetry.traces()
-        (route_span,) = [s for s in trace.spans if s["name"] == "route"]
-        assert route_span["attrs"]["variant"] == CHEAP
-        assert route_span["attrs"]["rejected"] == [FAST]
-        assert route_span["attrs"]["objective"] == "min_energy"
-        assert route_span["attrs"]["rerouted"] is False
+        events = tracer.recorder.trace_events(trace.trace_id)
+        (route_span,) = [e for e in events if e["name"] == "route"]
+        assert route_span["args"]["variant"] == CHEAP
+        assert route_span["args"]["rejected"] == [FAST]
+        assert route_span["args"]["objective"] == "min_energy"
+        assert route_span["args"]["rerouted"] is False
 
     def test_fleet_aware_latency_predictor(self, fleet_registry):
         telemetry = TelemetryCollector()

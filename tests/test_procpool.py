@@ -138,15 +138,11 @@ class TestSharedMemoryTransport:
 
     def test_worker_side_timings_reported(self, process_engine, rng):
         inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
-        outputs, elapsed, records = process_engine.run_timed(inputs)
+        outputs, record = process_engine.run_timed(inputs)
         assert outputs.shape[0] == 5
+        n_samples, elapsed, replica = record
+        assert (n_samples, replica) == (5, "0")
         assert elapsed > 0
-        assert records == [(5, elapsed, "0")]
-        probed: list[tuple[int, float]] = []
-        probe = process_engine.add_run_probe(lambda n, s: probed.append((n, s)))
-        process_engine.run(inputs)
-        assert len(probed) == 1 and probed[0][0] == 5 and probed[0][1] > 0
-        process_engine.remove_run_probe(probe)
 
 
 class TestWorkerLifecycle:

@@ -17,10 +17,12 @@ from repro.runtime import ExecutorPool, NetworkEngine, float32_gemm_is_exact
 from repro.runtime.vectorized import VectorizedLayerExecutor
 from repro.serve import (
     AdmissionController,
+    AdmissionCounters,
     AdmissionPolicy,
     BatchingPolicy,
     InferenceServer,
     ModelRegistry,
+    ServerStatistics,
     ServerStoppedError,
 )
 from repro.telemetry import TelemetryCollector
@@ -298,7 +300,7 @@ class TestInferenceServer:
         with pytest.raises(ValueError, match="NaN or inf"):
             server.submit("mlp", np.full((1, 16), bad))
         # Like a bad shape, a rejected request bumps no counter anywhere.
-        assert admission.counters().decisions == 0
+        assert admission.counters() == AdmissionCounters()
         assert telemetry.aggregates() == {}
         assert telemetry.overload_state is None
         assert server.statistics().requests_submitted == 0
@@ -407,11 +409,14 @@ class TestInferenceServer:
 
     def test_stop_racing_submit_retracts_admission_count(self, registry):
         # stop() can close the queue between submit's fail-fast check and
-        # the enqueue; the admission decision was already counted by then
-        # and must be taken back so counters only reflect enqueued work.
+        # the enqueue, after the admission decision; the decision is only
+        # recorded once the enqueue succeeds, so nothing needs taking back.
         from repro.serve import AdmissionController
 
-        server = InferenceServer(registry, admission=AdmissionController())
+        telemetry = TelemetryCollector()
+        server = InferenceServer(
+            registry, telemetry=telemetry, admission=AdmissionController()
+        )
 
         def closed_submit(request):
             raise RuntimeError("request queue is closed")
@@ -421,6 +426,8 @@ class TestInferenceServer:
         with pytest.raises(ServerStoppedError):
             server.submit("mlp", np.zeros((1, 16)))
         assert server.admission.counters() == before
+        assert telemetry.aggregates() == {}
+        assert server.statistics() == ServerStatistics()
 
     def test_pruning_keeps_in_flight_lock_entries(self, registry, tiny_conv_model):
         # An unregistered model's lock entries must survive pruning while a

@@ -24,7 +24,6 @@ from repro.experiments.fig12_efficiency import run_fig12
 from repro.hw import RAELLA_ARCH
 from repro.hw.energy import EnergyModel
 from repro.nn.zoo import model_shapes
-from repro.runtime import NetworkEngine
 from repro.serve import BatchingPolicy, InferenceServer, ModelRegistry, OverloadState
 from repro.serve.scheduler import InferenceFuture, InferenceRequest, RequestQueue
 from repro.telemetry import (
@@ -275,20 +274,6 @@ class TestTelemetryCollector:
         assert 'model="weird\\"name\\\\with\\nstuff"' in text
         assert "\n{" not in text  # no raw newline leaked into a label
 
-    def test_engine_probe(self, tiny_mlp_model, rng):
-        collector = TelemetryCollector()
-        engine = NetworkEngine.build(tiny_mlp_model)
-        probe = engine.add_run_probe(collector.engine_probe("tiny"))
-        inputs = np.abs(rng.normal(0, 1, size=(5, 16)))
-        engine.run(inputs)
-        aggregate = collector.aggregate("tiny")
-        assert aggregate.engine_runs == 1
-        assert aggregate.engine_run_samples == 5
-        assert aggregate.engine_run_s > 0
-        engine.remove_run_probe(probe)
-        engine.run(inputs)
-        assert collector.aggregate("tiny").engine_runs == 1
-
     def test_predicted_latency_calibrates_to_wall_time(self, tiny_mlp_model):
         collector = TelemetryCollector()
         assert collector.predicted_batch_latency_s("tiny", 4) is None
@@ -388,6 +373,7 @@ class TestPrometheusConformance:
                 model_name=NASTY_MODEL,
                 status="shed",
                 overload_state=OverloadState.SHED_BEST_EFFORT,
+                queue_depth_samples=0,
             )
         )
         return collector
