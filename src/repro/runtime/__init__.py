@@ -16,12 +16,13 @@ batched engine while staying bit-identical to the per-phase reference:
   :func:`float32_gemm_is_exact` proves the accumulation fits float32's
   24-bit mantissa.
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
-  phase-extraction index tables, GEMM operand views with proven dtypes,
+  GEMM operand views with proven dtypes, phase x weight-slice scales,
   speculation gather tables, noise-draw layout, micro-batch split points --
   into a pickle-able :class:`ModelPlan` built once per ``(model, config,
   noise, float32)`` and then *executed*: noiseless planned executors collapse
-  the per-phase ADC/speculation loop into whole-tensor operations, and
-  replica workers boot from the shipped plan without re-encoding weights.
+  the per-phase ADC/speculation loop into a few tensor operations per
+  cache-sized row tile of the batch, and replica workers boot from the
+  shipped plan without re-encoding weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   (center optimisation dominates executor construction) and pools executors
   per layer so repeated experiments do not re-program crossbars.

@@ -12,10 +12,9 @@ This module hoists that work into two pickle-able artifacts:
 
 * :class:`CompiledLayerPlan` -- one layer's frozen execution recipe: the
   encoded weight chunks, positional GEMM operand views with their *proven*
-  dtypes (:func:`float32_gemm_is_exact`), the phase-extraction shift/mask
-  index tables, the pre-broadcast ``(P, 1, S, 1)`` phase x weight-slice scale
-  tensor, the speculation-group gather tables, and the noise-draw layout
-  contract.
+  dtypes (:func:`float32_gemm_is_exact`), the ``(P, S)`` phase x
+  weight-slice scale table, the speculation-group gather tables, and the
+  noise-draw layout contract.
 * :class:`ModelPlan` -- the per-layer plans of a whole model plus the
   micro-batch split policy, compiled once by
   :func:`compile_model_plan` (the registry does this at ``register`` time and
@@ -27,14 +26,15 @@ This module hoists that work into two pickle-able artifacts:
 
 Bit-identity of the planned fast path is an arithmetic argument, not a hope:
 in the noiseless pipeline every column sum, ADC-converted value, scale factor
-(a power of two) and digital-centers term is an exact integer represented in
-float64 far below ``2**53``, so *any* regrouping of the additions -- batching
-the ADC conversion over all phases at once, folding the masked scale-sum into
+(a power of two) and digital-centers term is an exact integer -- in the
+GEMM's proven dtype up to the ADC, in float64 far below ``2**53`` after the
+scale-sum -- so *any* regrouping of the work -- converting every phase of a
+row tile at once, tiling the batch over M, folding the masked scale-sum into
 one tensor contraction -- produces bit-identical outputs and (integer)
 statistics counters.  Seeded noise draws are order-sensitive, so noisy
-executors keep the reference per-phase loop (the plan still supplies the
-extraction tables and operands); :attr:`CompiledLayerPlan.noise_draw_layout`
-records the draw-order contract the executor preserves.
+executors keep the reference per-phase loop (the plan still supplies their
+operands); :attr:`CompiledLayerPlan.noise_draw_layout` records the
+draw-order contract the executor preserves.
 """
 
 from __future__ import annotations
@@ -110,12 +110,13 @@ class CompiledLayerPlan:
     Instances are immutable, shareable across executors/threads, and
     pickle-able (the positional ``chunks``/``operands`` tuples replaced the
     old ``id()``-keyed operand dict precisely so plans survive the trip into
-    worker processes).  ``phase_shifts``/``phase_masks`` are the explicit
-    index tables behind :meth:`extract_phases`; ``scales`` is the
-    pre-broadcast ``(n_phases, 1, n_slices, 1)`` tensor of
-    ``2**(phase_shift + weight_shift)`` factors; the ``spec_*``/``rec_*``
-    arrays are the speculation-group gather tables that let the planned fast
-    path build every phase's conversion mask with two fancy-index reads.
+    worker processes).  ``max_slice_value`` is the largest value any phase
+    feeds a DAC; ``scales`` is the ``(n_phases, n_slices)`` table of
+    ``2**(phase_shift + weight_shift)`` factors; ``is_spec`` flags the
+    speculative phases, pre-shaped ``(n_phases, 1, 1, 1)`` to broadcast over
+    a product block; the ``group_of``/``spec_*``/``rec_*`` arrays are the
+    speculation-group gather tables that let the planned fast path build
+    every phase's conversion mask with two fancy-index reads.
     """
 
     layer_name: str
@@ -126,8 +127,7 @@ class CompiledLayerPlan:
     float32: bool
     n_slices: int
     n_filters: int
-    phase_shifts: np.ndarray
-    phase_masks: np.ndarray
+    max_slice_value: int
     scales: np.ndarray
     is_spec: np.ndarray
     group_of: np.ndarray
@@ -176,24 +176,6 @@ class CompiledLayerPlan:
             for phase_index in range(self.n_phases)
         )
 
-    def extract_phases(self, codes: np.ndarray) -> np.ndarray:
-        """All input slices of a batch via the precomputed index tables.
-
-        Element-for-element identical to
-        :func:`repro.runtime.phases.extract_phase_tensor` (property-tested),
-        shaped ``(n_phases, M, rows)``.
-        """
-        codes = np.asarray(codes, dtype=np.int64)
-        if np.any(codes < 0):
-            raise ValueError(
-                "input codes must be non-negative; signed inputs are split "
-                "into positive/negative magnitudes before slicing"
-            )
-        shifts = self.phase_shifts[:, np.newaxis, np.newaxis]
-        return (codes[np.newaxis, :, :] >> shifts) & (
-            self.phase_masks[:, np.newaxis, np.newaxis]
-        )
-
     @classmethod
     def from_executor(cls, executor) -> "CompiledLayerPlan":
         """Harvest a plan from a live vectorized executor's derived state."""
@@ -206,14 +188,9 @@ class CompiledLayerPlan:
         )
         weight_shifts = np.array(slicing.shifts, dtype=np.int64)
         phase_shifts = np.array([phase.shift for phase in phases], dtype=np.int64)
-        phase_masks = np.array(
-            [(1 << phase.width) - 1 for phase in phases], dtype=np.int64
-        )
-        scales = 2.0 ** (
-            phase_shifts[:, np.newaxis, np.newaxis, np.newaxis]
-            + weight_shifts[np.newaxis, np.newaxis, :, np.newaxis]
-        )
+        scales = 2.0 ** (phase_shifts[:, np.newaxis] + weight_shifts[np.newaxis, :])
         is_spec = np.array([phase.kind == "speculative" for phase in phases])
+        is_spec.shape = (-1, 1, 1, 1)
         group_of = np.zeros(len(phases), dtype=np.int64)
         spec_indices, rec_indices = [], []
         group = -1
@@ -224,7 +201,7 @@ class CompiledLayerPlan:
             elif phase.kind == "recovery":
                 rec_indices.append(index)
             group_of[index] = max(group, 0)
-        for array in (phase_shifts, phase_masks, scales, is_spec, group_of):
+        for array in (scales, is_spec, group_of):
             array.setflags(write=False)
         return cls(
             layer_name=executor.layer.name,
@@ -235,8 +212,7 @@ class CompiledLayerPlan:
             float32=bool(executor.float32),
             n_slices=slicing.n_slices,
             n_filters=executor.layer.out_features,
-            phase_shifts=phase_shifts,
-            phase_masks=phase_masks,
+            max_slice_value=max((1 << phase.width) - 1 for phase in phases),
             scales=scales,
             is_spec=is_spec,
             group_of=group_of,

@@ -32,15 +32,18 @@ flag is always safe to set.  The multi-tenant serving layer
 (:mod:`repro.serve`) enables it by default.
 
 A :class:`~repro.runtime.plan.CompiledLayerPlan` takes the argument one step
-further.  In the noiseless case every post-GEMM stage -- ADC round/clip,
+further.  In the noiseless case every post-GEMM stage -- ADC clip,
 saturation masking, speculation recovery, the phase x weight-slice scale-sum
 -- is also exact integer arithmetic, so the eleven per-phase Python
-iterations can be collapsed into a handful of whole-tensor operations over
-the ``(n_phases, M, n_slices, n_filters)`` block without moving a single
-bit of the result (:meth:`_planned_chunk_matmul`).  Seeded noise draws *are*
-order-sensitive, so noisy executors keep the per-phase loop; the plan still
-supplies their extraction tables and GEMM operands.  Plans are compiled once
-(:meth:`compile_layer_plan`), adopted by pooled executors
+iterations collapse into a handful of tensor operations per row tile of the
+batch without moving a single bit of the result
+(:meth:`_planned_chunk_matmul`).  Each tile's ``(P, t, S, F)`` product block
+is sized by :data:`PLANNED_TILE_BYTES` to stay in cache, and the ADC stage
+runs on the GEMM output in its own (exact) dtype: column sums are already
+integers, so the reference's ``round`` is the identity and is skipped.
+Seeded noise draws *are* order-sensitive, so noisy executors keep the
+per-phase loop; the plan still supplies their GEMM operands.  Plans are
+compiled once (:meth:`compile_layer_plan`), adopted by pooled executors
 (:meth:`adopt_plan`), and pickled to worker processes so replicas never
 re-encode weights.
 
@@ -59,12 +62,30 @@ from repro.nn.layers import MatmulLayer
 from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
 from repro.runtime.phases import extract_phase_tensor
 from repro.runtime.plan import (
+    _FLOAT32_EXACT_LIMIT,
     CompiledLayerPlan,
     _ChunkOperands,
     float32_gemm_is_exact,
 )
 
 __all__ = ["VectorizedLayerExecutor", "float32_gemm_is_exact"]
+
+#: Working-set budget of one row tile of the planned noiseless kernel: a
+#: tile's ``(P, t, S, F)`` GEMM output (and the same-shaped clip/mask
+#: temporaries beside it) stays cache-sized instead of spanning all of M.
+PLANNED_TILE_BYTES = 1 << 18
+
+
+def planned_tile_rows(plan: CompiledLayerPlan, dtype: type) -> int:
+    """Rows of M per tile so one ``(P, t, S, F)`` block fits the budget.
+
+    Also small enough that the tile's per-(phase, crossbar row) pulse totals,
+    at most ``t * max_slice_value``, are exact in float32.
+    """
+    row_bytes = plan.n_phases * plan.n_slices * plan.n_filters
+    row_bytes *= np.dtype(dtype).itemsize
+    exact_rows = _FLOAT32_EXACT_LIMIT // plan.max_slice_value
+    return max(1, min(PLANNED_TILE_BYTES // row_bytes, exact_rows))
 
 
 class VectorizedLayerExecutor(PimLayerExecutor):
@@ -88,10 +109,6 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         given, the executor boots from the plan's pre-encoded chunks and
         operand tables -- no weight encoding at all -- and (noiseless
         configurations only) runs batches through the planned fast path.
-
-    Memory note: each chunk's batched phase tensor holds
-    ``n_phases * M * rows`` values; for very large batches run through
-    :class:`~repro.runtime.engine.NetworkEngine` micro-batching.
     """
 
     def __init__(
@@ -206,70 +223,86 @@ class VectorizedLayerExecutor(PimLayerExecutor):
     def _planned_chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
     ) -> np.ndarray:
-        """One chunk through the compiled noiseless fast path.
+        """One chunk through the compiled noiseless fast path, tiled over M.
 
-        Replaces the inherited per-phase ADC/speculation loop with
-        whole-tensor operations over the ``(P, M, S, F)`` product block:
-        one round/clip/saturate pass, two fancy-index gathers to build every
-        phase's conversion mask from the speculation-group tables, and one
-        masked scale-sum.  Every intermediate is an exact integer in float64
-        (scales are powers of two), so regrouping the additions is
-        bit-identical to the reference loop -- including every statistics
-        counter, which are integer totals and order-free.
+        Replaces the inherited per-phase ADC/speculation loop with tensor
+        operations over one ``(P, t, S, F)`` product block per row tile of
+        the batch: phase extraction in a narrow integer dtype, one GEMM in
+        the operand's proven dtype, one clip/saturate pass on the GEMM output
+        itself, two fancy-index gathers that build every phase's conversion
+        mask from the speculation-group tables, and one masked scale-sum into
+        the tile's float64 output rows.  Column sums are exact integers, so
+        the reference's ``round`` is the identity and the GEMM dtype holds
+        every clipped value exactly; the scale-sum regroups exact integer
+        additions (scales are powers of two) and the statistics counters are
+        integer totals, so outputs and counters are bit-identical to the
+        reference loop for any tile height.
         """
         plan = self._fast_plan
         operands = self._operands[chunk_index]
         stats = self.stats
-        config = self.config
+        adc_min, adc_max = self.config.adc_min, self.config.adc_max
+        n_phases, n_slices, n_filters = plan.n_phases, plan.n_slices, plan.n_filters
+        speculative = plan.spec_indices.size > 0
         m = codes.shape[0]
+        tile = planned_tile_rows(plan, operands.dtype)
 
-        phase_tensor = extract_phase_tensor(codes, self.plan)  # (P, M, rows)
-        flat = phase_tensor.reshape(plan.n_phases * m, -1).astype(operands.dtype)
-        products = np.asarray(flat @ operands.weights, dtype=np.float64).reshape(
-            plan.n_phases, m, plan.n_slices, plan.n_filters
-        )
-        stats.input_pulses += int(phase_tensor.sum())
-        stats.crossbar_activity += float(
-            (phase_tensor.sum(axis=1) @ operands.sum_flat_rowsum).sum()
-        )
-
-        # One ADC pass over every phase at once (the reference does this
-        # per phase; identical values, identical saturation decisions).
-        rounded = np.round(products)
-        clipped = np.clip(rounded, config.adc_min, config.adc_max)
-        saturated = (rounded < config.adc_min) | (rounded > config.adc_max)
-
-        if plan.spec_indices.size:
-            spec_saturated = saturated[plan.spec_indices]  # (G, M, S, F)
-            stats.adc_converts_speculative += spec_saturated.size
-            stats.speculation_slots += spec_saturated.size
-            stats.speculation_failures += int(spec_saturated.sum())
-            # gathered[p] = the saturation mask of phase p's speculation
-            # group; a speculative phase keeps its non-saturated columns,
-            # its recovery phases replay exactly the saturated ones.
-            gathered = spec_saturated[plan.group_of]  # (P, M, S, F)
-            mask = np.where(
-                plan.is_spec[:, np.newaxis, np.newaxis, np.newaxis],
-                ~gathered,
-                gathered,
+        analog = np.empty((m, n_filters), dtype=np.float64)
+        pulses = np.zeros((n_phases, codes.shape[1]), dtype=np.int64)
+        failures = needed = loss_events = 0
+        for start in range(0, m, tile):
+            tile_codes = codes[start : start + tile]
+            rows = tile_codes.shape[0]
+            phase_tensor = extract_phase_tensor(tile_codes, self.plan)
+            flat = phase_tensor.reshape(n_phases * rows, -1).astype(operands.dtype)
+            # Per-(phase, row) pulse totals; exact, as the tile height is
+            # bounded for it (a BLAS reduction, far cheaper than an integer one).
+            ones = np.ones(rows, dtype=operands.dtype)
+            pulses += (ones @ flat.reshape(n_phases, rows, -1)).astype(np.int64)
+            products = (flat @ operands.weights).reshape(
+                n_phases, rows, n_slices, n_filters
             )
-            needed = gathered[plan.rec_indices]
-            total_needed = int(needed.sum())
-            stats.adc_converts_recovery += total_needed
-            stats.fidelity_loss_opportunities += total_needed
-            stats.fidelity_loss_events += int(
-                (saturated[plan.rec_indices] & needed).sum()
+            clipped = np.clip(products, adc_min, adc_max)
+            saturated = clipped != products
+
+            if speculative:
+                spec_saturated = saturated[plan.spec_indices]  # (G, t, S, F)
+                failures += np.count_nonzero(spec_saturated)
+                # keep[p] = the saturation mask of phase p's speculation
+                # group; a speculative phase keeps its non-saturated columns,
+                # its recovery phases replay exactly the saturated ones.
+                keep = spec_saturated[plan.group_of]  # (P, t, S, F)
+                replayed = keep[plan.rec_indices]
+                needed += np.count_nonzero(replayed)
+                loss_events += np.count_nonzero(saturated[plan.rec_indices] & replayed)
+                # Zero what the ADCs skip: saturated speculative columns and
+                # the recovery columns whose speculation succeeded.
+                np.not_equal(keep, plan.is_spec, out=keep)
+                clipped *= keep
+            else:  # bit-serial: every column converts in every phase
+                loss_events += np.count_nonzero(saturated)
+            analog[start : start + rows] = np.einsum(
+                "pmsf,ps->mf", clipped, plan.scales
             )
-            analog = (np.where(mask, clipped, 0.0) * plan.scales).sum(axis=(0, 2))
-        else:  # bit-serial: every column converts in every phase
-            stats.adc_converts_serial += clipped.size
-            stats.fidelity_loss_events += int(saturated.sum())
-            stats.fidelity_loss_opportunities += clipped.size
-            analog = (clipped * plan.scales).sum(axis=(0, 2))
+
+        if speculative:
+            slots = plan.spec_indices.size * m * n_slices * n_filters
+            stats.adc_converts_speculative += slots
+            stats.speculation_slots += slots
+            stats.speculation_failures += int(failures)
+            stats.adc_converts_recovery += int(needed)
+            stats.fidelity_loss_opportunities += int(needed)
+        else:
+            converts = n_phases * m * n_slices * n_filters
+            stats.adc_converts_serial += converts
+            stats.fidelity_loss_opportunities += converts
+        stats.fidelity_loss_events += int(loss_events)
+        stats.input_pulses += int(pulses.sum())
+        stats.crossbar_activity += float((pulses @ operands.sum_flat_rowsum).sum())
 
         encoded = chunk.encoded
         if encoded.encoding.uses_centers:
-            analog = analog + encoded.centers[np.newaxis, :].astype(
+            analog += encoded.centers[np.newaxis, :].astype(
                 np.float64
             ) * codes.sum(axis=1, keepdims=True)
         return analog
@@ -301,12 +334,16 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             products = products.astype(np.float64)
 
         # Per-phase input pulses: integer counters, batched then accumulated.
-        pulses = phase_tensor.sum(axis=(1, 2))
+        # The phase tensor is narrow and unsigned, so sum explicitly in int64
+        # (a uint64 total would promote to float64 against int64 weights).
+        pulses = phase_tensor.sum(axis=(1, 2), dtype=np.int64)
         sums: list[np.ndarray] = []
         if operands.sum_flat_rowsum is not None:
             # Noiseless path: the products *are* the column sums; analog
             # activity has the reference's closed form per phase.
-            activities = phase_tensor.sum(axis=1) @ operands.sum_flat_rowsum
+            activities = (
+                phase_tensor.sum(axis=1, dtype=np.int64) @ operands.sum_flat_rowsum
+            )
             for index in range(n_phases):
                 self.stats.crossbar_activity += float(activities[index])
                 self.stats.input_pulses += int(pulses[index])

@@ -34,9 +34,15 @@ from repro.runtime import (
     VectorizedLayerExecutor,
     compile_model_plan,
 )
+from repro.runtime import plan as plan_module
+from repro.runtime import vectorized
 from repro.serve import ModelRegistry
 
-from tests.test_runtime_engine import PARITY_CONFIGS, assert_stats_equal
+from tests.test_runtime_engine import (
+    PARITY_CONFIGS,
+    assert_stats_equal,
+    signed_layer_and_patches,  # noqa: F401  (fixture)
+)
 
 
 def planned_and_unplanned(layer, config, noise=None, float32=False):
@@ -130,6 +136,125 @@ class TestCompiledLayerPlan:
         assert plan.n_phases == 4
         assert plan.spec_indices.size == 0
         assert plan.mode is SpeculationMode.BIT_SERIAL
+
+
+#: Tile height the tiling tests force on the planned kernel.
+TILE = 5
+
+
+def force_tile_rows(monkeypatch, executor, rows: int = TILE) -> None:
+    """Shrink the planned kernel's byte budget to ``rows`` float32 rows.
+
+    Float64 chunks then get ``rows // 2`` rows per tile.
+    """
+    plan = executor.layer_plan
+    row_bytes = plan.n_phases * plan.n_slices * plan.n_filters * 4
+    monkeypatch.setattr(vectorized, "PLANNED_TILE_BYTES", rows * row_bytes)
+    assert vectorized.planned_tile_rows(plan, np.float32) == rows
+
+
+#: The parity configs with column-sum collection off (fast-path eligible),
+#: plus a 4-bit ADC whose recovery phases saturate, so every fidelity-loss
+#: counter is exercised.
+TILING_CONFIGS = {
+    **{
+        name: config.with_changes(collect_column_sums=False)
+        for name, config in PARITY_CONFIGS.items()
+    },
+    "raella_adc4": PimLayerConfig(adc_bits=4),
+}
+
+
+def assert_planned_matches_reference(planned, layer, config, codes) -> None:
+    """Planned executor vs the per-phase oracle: outputs and every counter."""
+    assert planned.layer_plan.fast_path_eligible
+    reference = PimLayerExecutor(layer, config)
+    assert np.array_equal(planned.matmul(codes), reference.matmul(codes))
+    assert_stats_equal(planned.stats, reference.stats)
+
+
+class TestPlannedTiling:
+    """The tiled noiseless kernel at every tile boundary, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(TILING_CONFIGS))
+    @pytest.mark.parametrize("m", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 2])
+    def test_tile_boundaries_match_reference(
+        self, monkeypatch, name, m, tiny_linear_layer, tiny_patches
+    ):
+        config = TILING_CONFIGS[name]
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        planned.compile_layer_plan()
+        force_tile_rows(monkeypatch, planned)
+        assert_planned_matches_reference(
+            planned, tiny_linear_layer, config, tiny_patches[:m]
+        )
+
+    def test_narrow_adc_exercises_recovery_losses(
+        self, tiny_linear_layer, tiny_patches
+    ):
+        reference = PimLayerExecutor(tiny_linear_layer, TILING_CONFIGS["raella_adc4"])
+        reference.matmul(tiny_patches[: 3 * TILE + 2])
+        assert reference.stats.adc_converts_recovery > 0
+        assert reference.stats.fidelity_loss_events > 0
+
+    def test_default_budget_multi_tile(self, tiny_linear_layer, rng):
+        config = PimLayerConfig()
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        plan = planned.compile_layer_plan()
+        tile = vectorized.planned_tile_rows(plan, planned.gemm_dtypes[0])
+        codes = rng.integers(0, 256, size=(2 * tile + 3, 24))
+        assert_planned_matches_reference(planned, tiny_linear_layer, config, codes)
+
+    @pytest.mark.parametrize("name", sorted(TILING_CONFIGS))
+    def test_conv_layers_match_reference(self, monkeypatch, name, tiny_conv_model, rng):
+        """Real conv shapes: M = batch x output positions, many ragged tiles."""
+        config = TILING_CONFIGS[name]
+        pool = ExecutorPool(float32=True)
+        plan = compile_model_plan(tiny_conv_model, config, pool=pool)
+        planned = NetworkEngine.build(tiny_conv_model, config, pool=pool, plan=plan)
+        reference = NetworkEngine(
+            tiny_conv_model,
+            {
+                layer.name: PimLayerExecutor(layer, config)
+                for layer in tiny_conv_model.matmul_layers()
+            },
+        )
+        # 7 rows per tile on the first conv: 192 patch rows, ragged last tile.
+        force_tile_rows(monkeypatch, pool.get(tiny_conv_model.layers[0], config), 7)
+        inputs = np.abs(rng.normal(0, 1, size=(3, 3, 8, 8)))
+        assert np.array_equal(planned.run(inputs), reference.run(inputs))
+        planned_stats = planned.layer_statistics()
+        for layer_name, stats in reference.layer_statistics().items():
+            assert_stats_equal(planned_stats[layer_name], stats)
+        assert planned_stats["c1"].n_inputs == 3 * 8 * 8
+
+    def test_float64_fallback_chunk(self, monkeypatch, tiny_linear_layer, tiny_patches):
+        """Mixed-dtype chunks: one chunk's GEMM cannot be proven float32-exact."""
+        config = TILING_CONFIGS["raella_multi_chunk"]
+        probe = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        max_slice = max((1 << phase.width) - 1 for phase in probe.plan.phases)
+        bounds = sorted(
+            max_slice * np.abs(operands.weights).astype(np.float64).sum(axis=0).max()
+            for operands in probe._operands
+        )
+        assert bounds[0] < bounds[-1]
+        # A float32 limit between the chunks' bounds demotes the largest.
+        monkeypatch.setattr(plan_module, "_FLOAT32_EXACT_LIMIT", bounds[-1])
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        assert set(planned.gemm_dtypes) == {np.float32, np.float64}
+        planned.compile_layer_plan()
+        force_tile_rows(monkeypatch, planned)
+        assert_planned_matches_reference(
+            planned, tiny_linear_layer, config, tiny_patches[: 2 * TILE + 1]
+        )
+
+    def test_signed_inputs(self, monkeypatch, signed_layer_and_patches):
+        layer, patches = signed_layer_and_patches
+        config = PimLayerConfig()
+        planned = VectorizedLayerExecutor(layer, config, float32=True)
+        planned.compile_layer_plan()
+        force_tile_rows(monkeypatch, planned)
+        assert_planned_matches_reference(planned, layer, config, patches)
 
 
 class TestModelPlan:

@@ -140,14 +140,13 @@ class TestTensorQuantProperties:
 
 
 class TestCompiledPlanPhaseProperties:
-    """The compiled plan's index tables vs the reference slice extraction.
+    """The compiled plan's fast path vs the per-phase reference executor.
 
-    :class:`~repro.runtime.plan.CompiledLayerPlan` freezes phase extraction
-    into explicit shift/mask tables; these must reproduce
-    :func:`~repro.runtime.phases.extract_phase_tensor` -- itself pinned to
-    stacking :func:`extract_input_slice` -- element for element, for every
-    slicing and speculation mode, or the planned fast path silently feeds
-    wrong DAC values.
+    The planned kernel extracts phases from shift/mask tables in a narrow
+    dtype, tiles the batch over M and regroups every ADC, speculation and
+    scale-sum stage; for every slicing and speculation mode it must still
+    reproduce :class:`PimLayerExecutor` -- outputs and every statistics
+    counter -- exactly, or the fast path silently feeds wrong DAC values.
     """
 
     phase_slicing_strategy = st.sampled_from(
@@ -167,12 +166,13 @@ class TestCompiledPlanPhaseProperties:
         st.integers(min_value=0, max_value=10_000),
         phase_slicing_strategy,
         mode_strategy,
+        st.integers(min_value=1, max_value=12),
     )
     @settings(max_examples=20, deadline=None)
-    def test_compiled_tables_match_extract_phase_tensor(self, seed, slicing, mode):
-        from repro.runtime.phases import extract_phase_tensor
-        from repro.runtime.plan import CompiledLayerPlan
+    def test_planned_kernel_matches_reference(self, seed, slicing, mode, m):
         from repro.runtime.vectorized import VectorizedLayerExecutor
+
+        from tests.test_runtime_engine import assert_stats_equal
 
         rng = np.random.default_rng(seed)
         layer = Linear("prop_plan_fc", rng.normal(0, 0.15, size=(4, 12)))
@@ -183,12 +183,12 @@ class TestCompiledPlanPhaseProperties:
             if mode is SpeculationMode.BIT_SERIAL
             else PimLayerConfig(speculation=mode, speculative_input_slicing=slicing)
         )
-        compiled = CompiledLayerPlan.from_executor(
-            VectorizedLayerExecutor(layer, config)
-        )
-        codes = rng.integers(0, 256, size=(6, 12))
-        expected = extract_phase_tensor(codes, compiled.input_plan)
-        assert np.array_equal(compiled.extract_phases(codes), expected)
+        planned = VectorizedLayerExecutor(layer, config, float32=True)
+        assert planned.compile_layer_plan().fast_path_eligible
+        reference = PimLayerExecutor(layer, config)
+        codes = rng.integers(0, 256, size=(m, 12))
+        assert np.array_equal(planned.matmul(codes), reference.matmul(codes))
+        assert_stats_equal(planned.stats, reference.stats)
 
     @given(
         st.integers(min_value=0, max_value=10_000),

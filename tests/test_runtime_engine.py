@@ -111,6 +111,18 @@ class TestPhaseTensor:
         with pytest.raises(ValueError):
             extract_phase_tensor(np.array([[-1, 2]]), plan)
 
+    @pytest.mark.parametrize(
+        ("top", "dtype"), [(255, np.uint8), (256, np.uint16), (1 << 20, np.uint32)]
+    )
+    def test_narrowest_dtype_same_values(self, rng, top, dtype):
+        plan = InputSlicePlan.build()
+        codes = rng.integers(0, top, size=(7, 5))
+        codes[0, 0] = top
+        tensor = extract_phase_tensor(codes, plan)
+        assert tensor.dtype == dtype
+        for index, phase in enumerate(plan.phases):
+            assert np.array_equal(tensor[index], extract_input_slice(codes, phase))
+
 
 class TestExecutorParity:
     """Vectorized executor vs per-phase reference: exact equality."""
