@@ -1,21 +1,21 @@
-"""Compiled execution plans vs. the re-deriving engine, plus output pooling.
+"""Compiled execution plans vs. the per-phase oracle, plus output pooling.
 
 Not a paper artifact: this tracks the ROADMAP "hot-path raw speed" follow-up
-that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
+that motivated :mod:`repro.runtime.plan`.  Three claims are enforced:
 
 * **Planned dispatch.**  A small-batch dispatch storm (every request M <= 4,
   the serving layer's worst case: per-batch layout work is amortised over
   almost nothing) through a :class:`NetworkEngine` running a precompiled
   :class:`~repro.runtime.ModelPlan` must sustain at least
-  ``MIN_PLANNED_SPEEDUP``x the unplanned engine's throughput (1.3x by
-  default, typically ~2x locally) while staying bit-identical, and compiling
-  the plan must amortise within a single storm batch.
+  ``MIN_VECTORIZED_SPEEDUP``x the throughput of the same engine on the
+  per-phase :class:`~repro.core.executor.PimLayerExecutor` oracle (3x by
+  default, typically ~7x locally) while staying bit-identical.
 * **Shape sweep.**  The conv zoo models (``resnet18_like``,
   ``mobilenetv2_like``) at batch 1 and 8 -- M in the hundreds to thousands
-  of patch rows, where the planned kernel tiles over M -- must run on the
-  planned path at least ``MIN_CONV_PLANNED_RATIO``x as fast as the unplanned
-  one (1.0 by default: never slower) at every point, with bit-identical
-  outputs and per-layer statistics.
+  of patch rows, where the planned kernel tiles over M -- must run at least
+  ``MIN_VECTORIZED_SPEEDUP``x as fast as the oracle at every point, with
+  bit-identical outputs and per-layer statistics.  The oracle is timed on a
+  single run (``resnet18_like`` at batch 8 takes seconds).
 * **Output pooling.**  An :class:`~repro.runtime.EngineWorker` hands
   results out as zero-copy views of pooled worker-owned shared-memory
   slots; the same round trip with ``copy_outputs`` (the old
@@ -23,8 +23,8 @@ that motivated :mod:`repro.runtime.plan`.  Two claims are enforced:
   per-round-trip delta is the memcpy the pool deletes.
 
 Plans change scheduling and layout only, never arithmetic, so every
-comparison here doubles as a bit-identity regression test across the
-thread and process backends.
+comparison here doubles as a bit-identity regression test against the
+oracle across the thread and process backends.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from repro.core.executor import PimLayerExecutor
 from repro.nn.layers import Linear
 from repro.nn.model import QuantizedModel
 from repro.nn.synthetic import synthetic_images, synthetic_linear_weights
@@ -98,6 +99,23 @@ def make_storm(n_requests: int = N_REQUESTS, seed: int = 9) -> list[np.ndarray]:
     ]
 
 
+def min_speedup() -> float:
+    """The vectorized-vs-oracle bar (CI relaxes it on shared runners)."""
+    return float(os.environ.get("MIN_VECTORIZED_SPEEDUP", "3.0"))
+
+
+def oracle_pool() -> ExecutorPool:
+    """A pool of per-phase reference executors: the correctness oracle."""
+    return ExecutorPool(executor_factory=PimLayerExecutor)
+
+
+def timed_once(func):
+    """Wall time of one call (plus its result)."""
+    start = time.perf_counter()
+    result = func()
+    return time.perf_counter() - start, result
+
+
 def best_of(func, rounds: int = 3):
     """Best wall time over a few rounds (plus the last result)."""
     func()  # warm-up
@@ -111,17 +129,17 @@ def best_of(func, rounds: int = 3):
 
 @pytest.fixture(scope="module")
 def plan_setup():
-    """One model hosted three ways: unplanned, planned, planned-in-process."""
+    """One model hosted three ways: oracle, planned, planned-in-process."""
     model = build_model("plan_mlp", seed=3)
     requests = make_storm()
-    unplanned = NetworkEngine.build(model, pool=ExecutorPool())
+    oracle = NetworkEngine.build(model, pool=oracle_pool())
     planned_pool = ExecutorPool()
     plan = compile_model_plan(model, pool=planned_pool)
     planned = NetworkEngine.build(model, pool=planned_pool, plan=plan)
     process = ReplicaPool.launch(model, plan=plan, replicas=1)
-    for engine in (unplanned, planned, process):
+    for engine in (oracle, planned, process):
         engine.run(requests[0])  # warm every path outside the timed regions
-    yield model, plan, unplanned, planned, process, requests
+    yield model, plan, oracle, planned, process, requests
     process.close()
 
 
@@ -129,16 +147,8 @@ def run_storm(engine, requests: list[np.ndarray]) -> list[np.ndarray]:
     return [engine.run(batch) for batch in requests]
 
 
-def test_bench_unplanned_dispatch_storm(benchmark, plan_setup):
-    _model, _plan, unplanned, _planned, _process, requests = plan_setup
-    outputs = benchmark.pedantic(
-        run_storm, args=(unplanned, requests), rounds=1, iterations=1
-    )
-    assert outputs[0].shape == (1, 10)
-
-
 def test_bench_planned_dispatch_storm(benchmark, plan_setup):
-    _model, _plan, _unplanned, planned, _process, requests = plan_setup
+    _model, _plan, _oracle, planned, _process, requests = plan_setup
     outputs = benchmark.pedantic(
         run_storm, args=(planned, requests), rounds=1, iterations=1
     )
@@ -146,66 +156,45 @@ def test_bench_planned_dispatch_storm(benchmark, plan_setup):
 
 
 def test_planned_storm_speedup_and_bit_identity(benchmark, plan_setup):
-    """Planned dispatch >= MIN_PLANNED_SPEEDUP x unplanned, bit for bit."""
-    minimum = float(os.environ.get("MIN_PLANNED_SPEEDUP", "1.3"))
-    _model, _plan, unplanned, planned, _process, requests = plan_setup
+    """Planned dispatch >= MIN_VECTORIZED_SPEEDUP x the oracle, bit for bit."""
+    minimum = min_speedup()
+    _model, _plan, oracle, planned, _process, requests = plan_setup
 
-    unplanned_time, unplanned_outputs = best_of(lambda: run_storm(unplanned, requests))
+    oracle_time, oracle_outputs = timed_once(lambda: run_storm(oracle, requests))
     planned_time, planned_outputs = best_of(lambda: run_storm(planned, requests))
-    for expected, actual in zip(unplanned_outputs, planned_outputs):
+    for expected, actual in zip(oracle_outputs, planned_outputs):
         assert np.array_equal(expected, actual)
 
-    speedup = unplanned_time / planned_time
+    speedup = oracle_time / planned_time
     benchmark.extra_info["planned_speedup"] = round(speedup, 2)
     benchmark.extra_info["requests_per_s_planned"] = round(len(requests) / planned_time)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert speedup >= minimum, (
-        f"planned engine only {speedup:.2f}x unplanned dispatch "
+        f"planned engine only {speedup:.2f}x the per-phase oracle "
         f"({len(requests) / planned_time:.0f} vs "
-        f"{len(requests) / unplanned_time:.0f} req/s)"
-    )
-
-
-def test_plan_compile_amortises_within_one_batch(plan_setup):
-    """Compiling the plan costs less than a single storm batch.
-
-    The compile runs against a *fresh* pool, so the measured time includes
-    weight encoding -- the worst case a cold registry pays.  Even so it must
-    pay for itself within one batch of the storm it accelerates.
-    """
-    budget = float(os.environ.get("MAX_PLAN_COMPILE_BATCHES", "1.0"))
-    model, _plan, unplanned, _planned, _process, requests = plan_setup
-
-    batch_time, _ = best_of(lambda: run_storm(unplanned, requests))
-    per_batch = batch_time / len(requests)
-    start = time.perf_counter()
-    compile_model_plan(model, pool=ExecutorPool())
-    compile_time = time.perf_counter() - start
-    assert compile_time <= budget * per_batch, (
-        f"plan compile took {compile_time * 1e3:.2f} ms, "
-        f"budget {budget:.1f} batch(es) = {budget * per_batch * 1e3:.2f} ms"
+        f"{len(requests) / oracle_time:.0f} req/s)"
     )
 
 
 def test_planned_outputs_bit_identical_across_backends(plan_setup):
-    """Thread engine, planned engine and plan-shipped worker all agree."""
-    _model, _plan, unplanned, planned, process, requests = plan_setup
+    """Oracle, planned thread engine and plan-shipped worker all agree."""
+    _model, _plan, oracle, planned, process, requests = plan_setup
     stacked = np.concatenate(requests[:8], axis=0)
-    expected = unplanned.run(stacked)
+    expected = oracle.run(stacked)
     assert np.array_equal(planned.run(stacked), expected)
     assert np.array_equal(process.run(stacked), expected)
 
 
 @pytest.fixture(scope="module")
 def conv_engines():
-    """Each sweep model hosted unplanned and planned (float32, as served)."""
+    """Each sweep model on the oracle and planned (float32, as served)."""
     engines = {}
     for name, build in SWEEP_MODELS.items():
         model = build(seed=0)
         pool = ExecutorPool(float32=True)
         plan = compile_model_plan(model, pool=pool)
         engines[name] = (
-            NetworkEngine.build(model, pool=ExecutorPool(float32=True)),
+            NetworkEngine.build(model, pool=oracle_pool()),
             NetworkEngine.build(model, pool=pool, plan=plan),
         )
     return engines
@@ -228,27 +217,28 @@ def run_with_stats(engine, inputs: np.ndarray) -> tuple[np.ndarray, dict]:
 
 @pytest.mark.parametrize("batch", SWEEP_BATCHES)
 @pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
-def test_conv_shape_sweep_planned_not_slower(benchmark, conv_engines, name, batch):
-    """Planned >= MIN_CONV_PLANNED_RATIO x unplanned on conv shapes, bit for bit."""
-    minimum = float(os.environ.get("MIN_CONV_PLANNED_RATIO", "1.0"))
-    unplanned, planned = conv_engines[name]
+def test_conv_shape_sweep_vectorized_speedup(benchmark, conv_engines, name, batch):
+    """Planned >= MIN_VECTORIZED_SPEEDUP x the oracle on conv shapes, bit for bit."""
+    minimum = min_speedup()
+    oracle, planned = conv_engines[name]
     inputs = synthetic_images(batch, (3, 32, 32), np.random.default_rng(batch))
 
-    expected_outputs, expected_stats = run_with_stats(unplanned, inputs)
+    oracle_time, (expected_outputs, expected_stats) = timed_once(
+        lambda: run_with_stats(oracle, inputs)
+    )
     outputs, stats = run_with_stats(planned, inputs)
     assert np.array_equal(outputs, expected_outputs)
     assert stats == expected_stats
 
-    unplanned_time, _ = best_of(lambda: unplanned.run(inputs))
     planned_time, _ = best_of(lambda: planned.run(inputs))
-    ratio = unplanned_time / planned_time
+    ratio = oracle_time / planned_time
     benchmark.extra_info["planned_ms"] = round(planned_time * 1e3, 2)
-    benchmark.extra_info["unplanned_ms"] = round(unplanned_time * 1e3, 2)
+    benchmark.extra_info["oracle_ms"] = round(oracle_time * 1e3, 2)
     benchmark.extra_info["planned_speedup"] = round(ratio, 2)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     assert ratio >= minimum, (
         f"{name} at batch {batch}: planned {planned_time * 1e3:.1f} ms vs "
-        f"unplanned {unplanned_time * 1e3:.1f} ms ({ratio:.2f}x)"
+        f"oracle {oracle_time * 1e3:.1f} ms ({ratio:.2f}x)"
     )
 
 

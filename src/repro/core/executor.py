@@ -472,10 +472,11 @@ class PimLayerExecutor:
     ) -> np.ndarray:
         """Analog column sums of one phase, shaped ``(M, n_slices, filters)``.
 
-        The per-phase path extracts the slice and runs one matmul here; the
-        vectorized runtime executor overrides this to serve sums precomputed
-        for all phases in a single batched GEMM.  ``index`` is the phase's
-        position in the plan.
+        Extracts the phase's input slice and runs one matmul (drawing the
+        phase's noise, if any).  ``index`` is the phase's position in the
+        plan.  Only this per-phase oracle calls it: the vectorized runtime
+        executor replaces the whole :meth:`_chunk_matmul` with its compiled
+        kernel instead.
         """
         slice_values = extract_input_slice(codes, phase)
         sums, _ = self._phase_column_sums(slice_values, chunk)

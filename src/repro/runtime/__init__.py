@@ -8,21 +8,23 @@ batched engine while staying bit-identical to the per-phase reference:
 * :mod:`repro.runtime.phases` precomputes every input bit-plane slice of a
   batch in one shot -- a single ``(n_phases, M, rows)`` tensor per crossbar
   chunk instead of ``n_phases`` sequential ``extract_input_slice`` calls.
-* :mod:`repro.runtime.vectorized` fuses the per-phase matmuls of a chunk into
-  one BLAS GEMM (:class:`VectorizedLayerExecutor`).  Slice and weight values
-  are small integers, so the float64 GEMM is exact and the results are
-  bit-identical to the integer per-phase path.  An opt-in float32 fast path
-  (used by :mod:`repro.serve`) applies wherever
+* :mod:`repro.runtime.vectorized` is the one production kernel
+  (:class:`VectorizedLayerExecutor`): it fuses the per-phase matmuls of a
+  chunk into one BLAS GEMM and collapses the per-phase ADC/speculation loop
+  into a few tensor operations per cache-sized row tile of the batch.  Slice
+  and weight values are small integers, so the float64 GEMM is exact and the
+  results are bit-identical to the integer per-phase path.  An opt-in
+  float32 GEMM (used by :mod:`repro.serve`) applies wherever
   :func:`float32_gemm_is_exact` proves the accumulation fits float32's
-  24-bit mantissa.
+  24-bit mantissa.  Seeded noise and column-sum collection run through the
+  same kernel as one full-batch tile, drawn and recorded per phase in plan
+  order.
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
   GEMM operand views with proven dtypes, phase x weight-slice scales,
-  speculation gather tables, noise-draw layout, micro-batch split points --
-  into a pickle-able :class:`ModelPlan` built once per ``(model, config,
-  noise, float32)`` and then *executed*: noiseless planned executors collapse
-  the per-phase ADC/speculation loop into a few tensor operations per
-  cache-sized row tile of the batch, and replica workers boot from the
-  shipped plan without re-encoding weights.
+  speculation gather tables, micro-batch split points -- into a pickle-able
+  :class:`ModelPlan` built once per ``(model, config, noise, float32)`` and
+  then *executed*; replica workers boot from the shipped plan without
+  re-encoding weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   (center optimisation dominates executor construction) and pools executors
   per layer so repeated experiments do not re-program crossbars.

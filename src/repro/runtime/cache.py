@@ -167,9 +167,8 @@ class ExecutorPool:
         operand tables -- skipping weight encoding entirely, which is what
         lets replica workers boot from a pickled
         :class:`~repro.runtime.plan.ModelPlan`.  An already-pooled executor
-        *adopts* the plan instead (activating the planned fast path); plan
-        adoption is bit-identical either way, so planned and unplanned
-        callers may share one pooled executor.
+        is returned as is: it runs the plan it was built with, and every
+        plan for the same key computes bit-identical results.
         """
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
@@ -194,11 +193,8 @@ class ExecutorPool:
                     kwargs["plan"] = plan
                 executor = self.executor_factory(layer, config, noise=noise, **kwargs)
                 self._executors[key] = executor
-            else:
-                if plan is not None and executor.layer_plan is None:
-                    executor.adopt_plan(plan)
-                if reset_stats:
-                    executor.reset_stats()
+            elif reset_stats:
+                executor.reset_stats()
             return executor
 
     def clear(self) -> None:

@@ -69,7 +69,7 @@ class NetworkEngine:
         self.executors = dict(executors)
         self.micro_batch = micro_batch
         #: The compiled :class:`~repro.runtime.plan.ModelPlan` this engine was
-        #: built against (``None`` for unplanned construction paths).
+        #: built against (``None`` when built without one).
         self.model_plan = None
 
     # -- construction ---------------------------------------------------------
@@ -112,13 +112,13 @@ class NetworkEngine:
         exact); ``None`` defers to the pool's default.
 
         ``plan`` (a compiled :class:`~repro.runtime.plan.ModelPlan`) seeds
-        each pooled executor with its layer's
-        :class:`~repro.runtime.plan.CompiledLayerPlan`: newly built executors
-        boot from the plan's pre-encoded chunks (no weight encoding at all --
-        this is how replica workers start from a pickled spec), already-pooled
-        ones adopt it, switching onto the planned fast path.  When the plan
-        carries a micro-batch policy and no explicit ``micro_batch`` is
-        given, the plan's applies.
+        each newly pooled executor with its layer's
+        :class:`~repro.runtime.plan.CompiledLayerPlan`, so it boots from the
+        plan's pre-encoded chunks (no weight encoding at all -- this is how
+        replica workers start from a pickled spec); already-pooled executors
+        keep the plan they were built with.  When the plan carries a
+        micro-batch policy and no explicit ``micro_batch`` is given, the
+        plan's applies.
         """
         # Not ``pool or ExecutorPool()``: an empty pool is falsy (__len__) and
         # a shared pool passed in before first use must still be used.

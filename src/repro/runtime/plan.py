@@ -13,8 +13,9 @@ This module hoists that work into two pickle-able artifacts:
 * :class:`CompiledLayerPlan` -- one layer's frozen execution recipe: the
   encoded weight chunks, positional GEMM operand views with their *proven*
   dtypes (:func:`float32_gemm_is_exact`), the ``(P, S)`` phase x
-  weight-slice scale table, the speculation-group gather tables, and the
-  noise-draw layout contract.
+  weight-slice scale table and the speculation-group gather tables.  Every
+  :class:`~repro.runtime.vectorized.VectorizedLayerExecutor` executes one,
+  noisy or not.
 * :class:`ModelPlan` -- the per-layer plans of a whole model plus the
   micro-batch split policy, compiled once by
   :func:`compile_model_plan` (the registry does this at ``register`` time and
@@ -24,17 +25,16 @@ This module hoists that work into two pickle-able artifacts:
   :class:`~repro.runtime.procpool.EngineSpec` so replica workers and rolling
   ``replace()`` never re-encode weights or re-derive schedules.
 
-Bit-identity of the planned fast path is an arithmetic argument, not a hope:
-in the noiseless pipeline every column sum, ADC-converted value, scale factor
-(a power of two) and digital-centers term is an exact integer -- in the
-GEMM's proven dtype up to the ADC, in float64 far below ``2**53`` after the
-scale-sum -- so *any* regrouping of the work -- converting every phase of a
-row tile at once, tiling the batch over M, folding the masked scale-sum into
-one tensor contraction -- produces bit-identical outputs and (integer)
-statistics counters.  Seeded noise draws are order-sensitive, so noisy
-executors keep the reference per-phase loop (the plan still supplies their
-operands); :attr:`CompiledLayerPlan.noise_draw_layout` records the
-draw-order contract the executor preserves.
+Bit-identity of the planned kernel is an arithmetic argument, not a hope:
+every column sum, ADC-converted value, scale factor (a power of two) and
+digital-centers term is an exact integer -- in the GEMM's proven dtype up to
+the ADC, in float64 far below ``2**53`` after the scale-sum -- so *any*
+regrouping of the work -- converting every phase of a row tile at once,
+tiling the batch over M, folding the masked scale-sum into one tensor
+contraction -- produces bit-identical outputs and (integer) statistics
+counters.  Seeded noise draws and column-sum subsampling are
+order-sensitive; the kernel makes them once per phase, in plan order, over
+the whole batch, exactly as the per-phase reference does.
 """
 
 from __future__ import annotations
@@ -86,21 +86,20 @@ class _ChunkOperands:
         max_slice_value: int,
     ):
         if noiseless:
-            # Noiseless sums only need W+ - W-; activity has a closed form.
+            # Noiseless sums only need W+ - W-.
             weights = chunk.diff_flat
-            self.sum_flat_rowsum = chunk.sum_flat.sum(axis=1)
         else:
             # Noise models need both N+ - N- and N+ + N-: stack the weight
             # operands so one GEMM produces both column-sum families.
             weights = np.hstack([chunk.diff_flat, chunk.sum_flat])
-            self.sum_flat_rowsum = None
+        # Analog activity has a closed form: pulses @ per-row sum of W+ + W-.
+        self.sum_flat_rowsum = chunk.sum_flat.sum(axis=1)
         self.dtype = (
             np.float32
             if float32 and float32_gemm_is_exact(max_slice_value, weights)
             else np.float64
         )
         self.weights = weights.astype(self.dtype)
-        self.n_columns = chunk.diff_flat.shape[1]
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,8 @@ class CompiledLayerPlan:
     ``2**(phase_shift + weight_shift)`` factors; ``is_spec`` flags the
     speculative phases, pre-shaped ``(n_phases, 1, 1, 1)`` to broadcast over
     a product block; the ``group_of``/``spec_*``/``rec_*`` arrays are the
-    speculation-group gather tables that let the planned fast path build
-    every phase's conversion mask with two fancy-index reads.
+    speculation-group gather tables that let the kernel build every phase's
+    conversion mask with two fancy-index reads.
     """
 
     layer_name: str
@@ -146,43 +145,19 @@ class CompiledLayerPlan:
         """The input slicing mode the plan was compiled for."""
         return self.input_plan.mode
 
-    @property
-    def fast_path_eligible(self) -> bool:
-        """Whether the batched noiseless fast path may execute this plan.
-
-        Noise draws are order-sensitive (seeded RNG state advances per
-        phase) and column-sum collection subsamples in per-phase order, so
-        both force the reference per-phase loop; everything else is exact
-        integer arithmetic and may be re-grouped freely.
-        """
-        return self.noiseless and not self.config.collect_column_sums
-
-    @property
-    def noise_draw_layout(self) -> tuple[tuple[int, int, int], ...]:
-        """The seeded noise-draw contract: ``(chunk, phase, draw_size)`` order.
-
-        A noisy executor draws once per (chunk, phase) pair in exactly this
-        order, each draw covering ``M * n_slices * n_filters`` values -- the
-        layout is part of the bit-identity contract, which is why the planned
-        fast path never runs for noisy configurations.  Empty for noiseless
-        plans (no draws at all).
-        """
-        if self.noiseless:
-            return ()
-        per_phase = self.n_slices * self.n_filters
-        return tuple(
-            (chunk_index, phase_index, per_phase)
-            for chunk_index in range(len(self.chunks))
-            for phase_index in range(self.n_phases)
-        )
-
     @classmethod
     def from_executor(cls, executor) -> "CompiledLayerPlan":
-        """Harvest a plan from a live vectorized executor's derived state."""
+        """Compile a plan from a live vectorized executor's derived state."""
         input_plan: InputSlicePlan = executor.plan
         phases = input_plan.phases
         chunks = tuple(executor._chunks)
-        operands = tuple(executor._operands)
+        noiseless = isinstance(executor.noise, NoiselessModel)
+        float32 = bool(executor.float32)
+        max_slice_value = max((1 << phase.width) - 1 for phase in phases)
+        operands = tuple(
+            _ChunkOperands(chunk, noiseless, float32, max_slice_value)
+            for chunk in chunks
+        )
         slicing = (
             chunks[0].encoded.slicing if chunks else executor.config.weight_slicing
         )
@@ -208,11 +183,11 @@ class CompiledLayerPlan:
             weight_fingerprint=executor.layer.weight_fingerprint,
             config=executor.config,
             input_plan=input_plan,
-            noiseless=isinstance(executor.noise, NoiselessModel),
-            float32=bool(executor.float32),
+            noiseless=noiseless,
+            float32=float32,
             n_slices=slicing.n_slices,
             n_filters=executor.layer.out_features,
-            max_slice_value=max((1 << phase.width) - 1 for phase in phases),
+            max_slice_value=max_slice_value,
             scales=scales,
             is_spec=is_spec,
             group_of=group_of,
@@ -306,10 +281,8 @@ def compile_model_plan(
 
     Builds (or reuses) one vectorized executor per matmul layer through
     ``pool`` -- sharing the pool's encoded-weight cache, so compilation costs
-    one weight encoding at most -- and harvests each executor's
-    :class:`CompiledLayerPlan`.  The executors themselves adopt the plans
-    they produced, so a registry compiling through its own pool leaves the
-    serving executors already on the planned fast path.
+    one weight encoding at most -- and collects each executor's
+    :class:`CompiledLayerPlan`, the plan that executor already runs.
     """
     from repro.runtime.cache import ExecutorPool
 
@@ -318,7 +291,7 @@ def compile_model_plan(
     layers = {}
     for layer in model.matmul_layers():
         executor = pool.get(layer, config, noise=noise, float32=float32)
-        layers[layer.name] = executor.compile_layer_plan()
+        layers[layer.name] = executor.layer_plan
     noiseless = noise is None or isinstance(noise, NoiselessModel)
     # The pool normalises the float32 request (``None`` -> pool default,
     # forced off for non-vectorized factories); read the resolved value back

@@ -1,54 +1,54 @@
-"""Vectorized PIM layer executor: batched phases, fused GEMMs, cached weights.
+"""Vectorized PIM layer executor: one compiled kernel, cached weights.
 
 :class:`VectorizedLayerExecutor` is a drop-in replacement for
 :class:`~repro.core.executor.PimLayerExecutor` that replaces the per-phase
-Python loop of the hot path with batched tensor operations:
+Python loop with batched tensor operations.  Every executor holds a
+:class:`~repro.runtime.plan.CompiledLayerPlan` -- the one it is given, or one
+it compiles from its own state on construction -- and runs every chunk of
+every batch through one kernel (:meth:`_chunk_matmul`):
 
-* every input bit-plane slice of a chunk is extracted in one shot
-  (:func:`repro.runtime.phases.extract_phase_tensor`), and
-* the ``n_phases`` per-phase matmuls are fused into a single float64 BLAS
-  GEMM over a ``(n_phases * M, rows)`` operand.
+* every input bit-plane slice of a row tile is extracted in one shot
+  (:func:`repro.runtime.phases.extract_phase_tensor`);
+* the ``n_phases`` per-phase matmuls are fused into a single BLAS GEMM over
+  a ``(n_phases * t, rows)`` operand;
+* ADC clip, saturation masking, speculation recovery and the phase x
+  weight-slice scale-sum run as a handful of tensor operations on the
+  tile's ``(P, t, S, F)`` product block.
 
-Bit-identity with the per-phase reference is by construction, not by luck:
+Bit-identity with the per-phase reference is by construction, not by luck.
+Slice values (< 2**4) and weight-slice values (< 2**device_bits) are tiny
+integers, so every product and partial sum of the GEMM is an integer far
+below 2**53 -- float64 arithmetic is exact and matches the reference's int64
+matmuls digit for digit.  Every ADC-converted value, scale factor (a power
+of two) and digital-centers term is an exact integer too, so regrouping the
+work -- all phases of a tile at once, any tile height, one tensor
+contraction for the scale-sum -- moves no bit of the outputs or of the
+integer :class:`~repro.core.executor.LayerStatistics` counters.
 
-* slice values (< 2**4) and weight-slice values (< 2**device_bits) are tiny
-  integers, so every product and partial sum in the GEMM is an integer far
-  below 2**53 -- float64 arithmetic is exact and matches the reference's
-  int64 matmuls digit for digit;
-* the ADC conversion, speculation/recovery masking, statistics accumulation
-  and noise application still run through the *same* inherited per-phase code
-  path (via the ``_phase_sums`` provider hook), in the same order and on
-  arrays of the same shape, so seeded noise draws and all
-  :class:`~repro.core.executor.LayerStatistics` counters are identical too.
-
-The same argument admits an opt-in **float32 fast path** (``float32=True``):
+The same argument admits an opt-in **float32 GEMM** (``float32=True``):
 when every partial sum of a chunk's GEMM is provably below float32's 24-bit
 integer-exact range (:func:`float32_gemm_is_exact`), the GEMM runs in float32
-(roughly twice the BLAS throughput, half the operand memory traffic) and the
-products -- still exact integers -- are widened back to float64 before the
-ADC/noise stages, keeping outputs and statistics bit-identical to the float64
-path.  Chunks that cannot be proven safe silently stay on float64, so the
-flag is always safe to set.  The multi-tenant serving layer
-(:mod:`repro.serve`) enables it by default.
+(roughly twice the BLAS throughput, half the operand memory traffic).  Chunks
+that cannot be proven safe silently stay on float64, so the flag is always
+safe to set.  The multi-tenant serving layer (:mod:`repro.serve`) enables it
+by default.  Noiseless tiles stay in the GEMM's exact dtype through the ADC
+stage: column sums are already integers, so the reference's ``round`` is the
+identity and is skipped.  Each tile is sized by :data:`PLANNED_TILE_BYTES`
+to stay in cache.
 
-A :class:`~repro.runtime.plan.CompiledLayerPlan` takes the argument one step
-further.  In the noiseless case every post-GEMM stage -- ADC clip,
-saturation masking, speculation recovery, the phase x weight-slice scale-sum
--- is also exact integer arithmetic, so the eleven per-phase Python
-iterations collapse into a handful of tensor operations per row tile of the
-batch without moving a single bit of the result
-(:meth:`_planned_chunk_matmul`).  Each tile's ``(P, t, S, F)`` product block
-is sized by :data:`PLANNED_TILE_BYTES` to stay in cache, and the ADC stage
-runs on the GEMM output in its own (exact) dtype: column sums are already
-integers, so the reference's ``round`` is the identity and is skipped.
-Seeded noise draws *are* order-sensitive, so noisy executors keep the
-per-phase loop; the plan still supplies their GEMM operands.  Plans are
-compiled once (:meth:`compile_layer_plan`), adopted by pooled executors
-(:meth:`adopt_plan`), and pickled to worker processes so replicas never
-re-encode weights.
+Two cases are order-sensitive and run as one full-M tile instead:
 
-Weight encoding (center optimisation dominates construction time) is shared
-across executor instances through :mod:`repro.runtime.cache`.
+* **noisy layers** draw seeded Gaussian noise once per phase, in plan order,
+  on float64 ``(M, n_slices * n_filters)`` arrays -- the reference's call
+  shapes and draw order -- cut from the stacked ``diff|sum`` GEMM output;
+  the noisy sums are then rounded and share the clip, speculation and
+  scale-sum stages;
+* **column-sum collection** (``collect_column_sums``) records each phase's
+  pre-ADC sums once per phase, in plan order, over the whole batch.
+
+Plans are pickled to worker processes so replicas never re-encode weights;
+weight encoding (center optimisation dominates construction time) is also
+shared across executor instances through :mod:`repro.runtime.cache`.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analog.noise import NoiseModel, NoiselessModel
-from repro.core.dynamic_input import InputPhase
 from repro.core.executor import PimLayerConfig, PimLayerExecutor, _EncodedChunk
 from repro.nn.layers import MatmulLayer
 from repro.runtime.cache import GLOBAL_WEIGHT_CACHE, EncodedWeightCache
@@ -64,15 +63,14 @@ from repro.runtime.phases import extract_phase_tensor
 from repro.runtime.plan import (
     _FLOAT32_EXACT_LIMIT,
     CompiledLayerPlan,
-    _ChunkOperands,
     float32_gemm_is_exact,
 )
 
 __all__ = ["VectorizedLayerExecutor", "float32_gemm_is_exact"]
 
-#: Working-set budget of one row tile of the planned noiseless kernel: a
-#: tile's ``(P, t, S, F)`` GEMM output (and the same-shaped clip/mask
-#: temporaries beside it) stays cache-sized instead of spanning all of M.
+#: Working-set budget of one row tile of the noiseless kernel: a tile's
+#: ``(P, t, S, F)`` GEMM output (and the same-shaped clip/mask temporaries
+#: beside it) stays cache-sized instead of spanning all of M.
 PLANNED_TILE_BYTES = 1 << 18
 
 
@@ -99,7 +97,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         Encoded-weight cache shared across executor instances; pass ``None``
         to encode privately.  Defaults to the process-wide cache.
     float32:
-        Opt into the float32 GEMM fast path.  Applied per chunk only where
+        Opt into the float32 GEMM.  Applied per chunk only where
         :func:`float32_gemm_is_exact` proves the accumulation fits float32's
         24-bit mantissa; other chunks keep float64.  Results are bit-identical
         either way.
@@ -107,8 +105,9 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         A :class:`~repro.runtime.plan.CompiledLayerPlan` compiled for exactly
         this (layer, config, noise-lessness, float32) combination.  When
         given, the executor boots from the plan's pre-encoded chunks and
-        operand tables -- no weight encoding at all -- and (noiseless
-        configurations only) runs batches through the planned fast path.
+        operand tables -- no weight encoding at all; otherwise it compiles
+        its own plan on construction.  Either way the plan is
+        :attr:`layer_plan`.
     """
 
     def __init__(
@@ -126,67 +125,9 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         # and serves the plan's chunks when present.
         self._plan_chunks = None if plan is None else plan.chunks
         super().__init__(layer, config, noise=noise)
-        noiseless = isinstance(self.noise, NoiselessModel)
-        if plan is not None:
-            # Positional operand views travel with the plan; reusing them
-            # shares the (possibly float32) GEMM operands across every
-            # executor running the same plan.
-            self._operands: list[_ChunkOperands] = list(plan.operands)
-        else:
-            max_slice = max((1 << phase.width) - 1 for phase in self.plan.phases)
-            self._operands = [
-                _ChunkOperands(chunk, noiseless, float32, max_slice)
-                for chunk in self._chunks
-            ]
-        self._phase_sums_cache: list[np.ndarray] | None = None
-        self._layer_plan: CompiledLayerPlan | None = None
-        self._fast_plan: CompiledLayerPlan | None = None
-        if plan is not None:
-            self.adopt_plan(plan)
-
-    @property
-    def gemm_dtypes(self) -> list[type]:
-        """The GEMM dtype chosen for each row chunk, in chunk order."""
-        return [operands.dtype for operands in self._operands]
-
-    @property
-    def layer_plan(self) -> CompiledLayerPlan | None:
-        """The adopted compiled plan (``None`` until compiled or adopted)."""
-        return self._layer_plan
-
-    def _build_encoded_chunks(self) -> list[_EncodedChunk]:
-        if self._plan_chunks is not None:
-            return list(self._plan_chunks)
-        if self._weight_cache is None:
-            return super()._build_encoded_chunks()
-        return self._weight_cache.encoded_chunks(
-            self.layer, self.config, super()._build_encoded_chunks
-        )
-
-    # -- compiled plans ----------------------------------------------------------
-
-    def compile_layer_plan(self) -> CompiledLayerPlan:
-        """Compile (once) and adopt this executor's execution plan.
-
-        Harvests the executor's already-derived state -- encoded chunks,
-        operand views with proven dtypes, phase tables -- into an immutable
-        :class:`~repro.runtime.plan.CompiledLayerPlan`; subsequent calls
-        return the same object.  Compiling also *adopts* the plan, switching
-        noiseless executors onto the planned fast path.
-        """
-        if self._layer_plan is None:
-            self.adopt_plan(CompiledLayerPlan.from_executor(self))
-        return self._layer_plan
-
-    def adopt_plan(self, plan: CompiledLayerPlan) -> None:
-        """Execute future batches against ``plan`` (validated, bit-identical).
-
-        Adoption is safe mid-stream: the planned fast path only re-groups
-        exact integer arithmetic, so outputs and statistics are bit-identical
-        whether a batch (or even an individual chunk of one) runs before or
-        after adoption.
-        """
-        if not plan.matches(self.layer, self.config):
+        if plan is None:
+            plan = CompiledLayerPlan.from_executor(self)
+        elif not plan.matches(self.layer, self.config):
             raise ValueError(
                 f"plan compiled for layer {plan.layer_name!r} "
                 f"(fingerprint {plan.weight_fingerprint[:12]}...) does not "
@@ -199,53 +140,52 @@ class VectorizedLayerExecutor(PimLayerExecutor):
                 f"({plan.noiseless}/{plan.float32}) do not match executor "
                 f"({noiseless}/{bool(self.float32)})"
             )
-        self._layer_plan = plan
-        self._fast_plan = plan if plan.fast_path_eligible else None
+        #: The compiled plan every batch executes against.
+        self.layer_plan = plan
 
-    # -- batched hot path -------------------------------------------------------
+    @property
+    def gemm_dtypes(self) -> list[type]:
+        """The GEMM dtype chosen for each row chunk, in chunk order."""
+        return [operands.dtype for operands in self.layer_plan.operands]
+
+    def _build_encoded_chunks(self) -> list[_EncodedChunk]:
+        if self._plan_chunks is not None:
+            return list(self._plan_chunks)
+        if self._weight_cache is None:
+            return super()._build_encoded_chunks()
+        return self._weight_cache.encoded_chunks(
+            self.layer, self.config, super()._build_encoded_chunks
+        )
+
+    # -- the kernel ---------------------------------------------------------------
 
     def _chunk_matmul(
         self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int = 0
     ) -> np.ndarray:
-        if self._fast_plan is not None:
-            return self._planned_chunk_matmul(codes, chunk, chunk_index)
-        self._phase_sums_cache = self._batched_phase_sums(codes, chunk_index)
-        try:
-            return super()._chunk_matmul(codes, chunk, chunk_index)
-        finally:
-            self._phase_sums_cache = None
+        """One chunk through the compiled plan, tiled over M.
 
-    def _phase_sums(
-        self, codes: np.ndarray, chunk: _EncodedChunk, phase: InputPhase, index: int
-    ) -> np.ndarray:
-        return self._phase_sums_cache[index]
-
-    def _planned_chunk_matmul(
-        self, codes: np.ndarray, chunk: _EncodedChunk, chunk_index: int
-    ) -> np.ndarray:
-        """One chunk through the compiled noiseless fast path, tiled over M.
-
-        Replaces the inherited per-phase ADC/speculation loop with tensor
-        operations over one ``(P, t, S, F)`` product block per row tile of
-        the batch: phase extraction in a narrow integer dtype, one GEMM in
-        the operand's proven dtype, one clip/saturate pass on the GEMM output
-        itself, two fancy-index gathers that build every phase's conversion
-        mask from the speculation-group tables, and one masked scale-sum into
-        the tile's float64 output rows.  Column sums are exact integers, so
-        the reference's ``round`` is the identity and the GEMM dtype holds
-        every clipped value exactly; the scale-sum regroups exact integer
-        additions (scales are powers of two) and the statistics counters are
-        integer totals, so outputs and counters are bit-identical to the
-        reference loop for any tile height.
+        Per row tile of the batch: phase extraction in a narrow integer
+        dtype, one GEMM in the operand's proven dtype, one clip/saturate pass
+        on its output, two fancy-index gathers that build every phase's
+        conversion mask from the speculation-group tables, and one masked
+        scale-sum into the tile's float64 output rows.  Noisy and
+        column-sum-collecting layers take all of M as one tile (see the
+        module docstring); every other tile height is exact, so outputs and
+        counters are bit-identical to the reference loop either way.
         """
-        plan = self._fast_plan
-        operands = self._operands[chunk_index]
+        plan = self.layer_plan
+        operands = plan.operands[chunk_index]
         stats = self.stats
         adc_min, adc_max = self.config.adc_min, self.config.adc_max
         n_phases, n_slices, n_filters = plan.n_phases, plan.n_slices, plan.n_filters
         speculative = plan.spec_indices.size > 0
+        collect = self.config.collect_column_sums
         m = codes.shape[0]
-        tile = planned_tile_rows(plan, operands.dtype)
+        if plan.noiseless and not collect:
+            tile = planned_tile_rows(plan, operands.dtype)
+        else:
+            tile = max(m, 1)
+        exact_rows = _FLOAT32_EXACT_LIMIT // plan.max_slice_value
 
         analog = np.empty((m, n_filters), dtype=np.float64)
         pulses = np.zeros((n_phases, codes.shape[1]), dtype=np.int64)
@@ -255,13 +195,19 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             rows = tile_codes.shape[0]
             phase_tensor = extract_phase_tensor(tile_codes, self.plan)
             flat = phase_tensor.reshape(n_phases * rows, -1).astype(operands.dtype)
-            # Per-(phase, row) pulse totals; exact, as the tile height is
-            # bounded for it (a BLAS reduction, far cheaper than an integer one).
-            ones = np.ones(rows, dtype=operands.dtype)
+            # Per-(phase, row) pulse totals by a BLAS reduction (far cheaper
+            # than an integer one); exact in float32 up to ``exact_rows``.
+            ones = np.ones(rows, operands.dtype if rows <= exact_rows else np.float64)
             pulses += (ones @ flat.reshape(n_phases, rows, -1)).astype(np.int64)
-            products = (flat @ operands.weights).reshape(
-                n_phases, rows, n_slices, n_filters
-            )
+            products = (flat @ operands.weights).reshape(n_phases, rows, -1)
+            if not plan.noiseless:
+                products = self._noisy_column_sums(products)
+            products = products.reshape(n_phases, rows, n_slices, n_filters)
+            if collect:
+                for phase, sums in zip(plan.input_plan.phases, products):
+                    self._record_column_sums(phase.kind, sums)
+            if not plan.noiseless:
+                np.round(products, out=products)
             clipped = np.clip(products, adc_min, adc_max)
             saturated = clipped != products
 
@@ -298,6 +244,7 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             stats.fidelity_loss_opportunities += converts
         stats.fidelity_loss_events += int(loss_events)
         stats.input_pulses += int(pulses.sum())
+        # Analog activity (N+ + N-, summed) has an exact closed form.
         stats.crossbar_activity += float((pulses @ operands.sum_flat_rowsum).sum())
 
         encoded = chunk.encoded
@@ -307,55 +254,18 @@ class VectorizedLayerExecutor(PimLayerExecutor):
             ) * codes.sum(axis=1, keepdims=True)
         return analog
 
-    def _batched_phase_sums(
-        self, codes: np.ndarray, chunk_index: int
-    ) -> list[np.ndarray]:
-        """All phases' analog column sums for one chunk, one GEMM.
+    def _noisy_column_sums(self, products: np.ndarray) -> np.ndarray:
+        """Noisy column sums from the ``(P, M, 2 * S * F)`` ``diff|sum`` output.
 
-        Returns one ``(M, n_slices, filters)`` array per phase and performs
-        the per-phase statistics / noise bookkeeping in plan order, exactly
-        as the per-phase reference does.
+        One ``noise.apply`` per phase in plan order on float64 ``(M, S * F)``
+        halves, exactly as the reference calls it, so seeded draws land on
+        the same columns in the same order.  Each phase is widened to float64
+        (exact) on its own, so no float64 copy of the whole output exists.
         """
-        chunk = self._chunks[chunk_index]
-        operands = self._operands[chunk_index]
-        n_phases = self.plan.n_cycles
-        m = codes.shape[0]
-        n_slices = chunk.encoded.slicing.n_slices
-        n_filters = chunk.encoded.n_filters
-        n_cols = operands.n_columns
-
-        phase_tensor = extract_phase_tensor(codes, self.plan)  # (P, M, rows)
-        flat = phase_tensor.reshape(n_phases * m, -1).astype(operands.dtype)
-        products = (flat @ operands.weights).reshape(n_phases, m, -1)
-        if operands.dtype is not np.float64:
-            # Fast-path products are exact integers within float32's mantissa;
-            # widening is lossless and keeps all downstream stages (ADC,
-            # noise, statistics) on the reference float64 arrays.
-            products = products.astype(np.float64)
-
-        # Per-phase input pulses: integer counters, batched then accumulated.
-        # The phase tensor is narrow and unsigned, so sum explicitly in int64
-        # (a uint64 total would promote to float64 against int64 weights).
-        pulses = phase_tensor.sum(axis=(1, 2), dtype=np.int64)
-        sums: list[np.ndarray] = []
-        if operands.sum_flat_rowsum is not None:
-            # Noiseless path: the products *are* the column sums; analog
-            # activity has the reference's closed form per phase.
-            activities = (
-                phase_tensor.sum(axis=1, dtype=np.int64) @ operands.sum_flat_rowsum
-            )
-            for index in range(n_phases):
-                self.stats.crossbar_activity += float(activities[index])
-                self.stats.input_pulses += int(pulses[index])
-                sums.append(products[index].reshape(m, n_slices, n_filters))
-        else:
-            diff = products[:, :, :n_cols]
-            total = products[:, :, n_cols:]
-            for index in range(n_phases):
-                positive = 0.5 * (total[index] + diff[index])
-                negative = 0.5 * (total[index] - diff[index])
-                self.stats.crossbar_activity += float(total[index].sum())
-                self.stats.input_pulses += int(pulses[index])
-                noisy = self.noise.apply(positive, negative)
-                sums.append(noisy.reshape(m, n_slices, n_filters))
+        diff, total = np.split(products, 2, axis=2)
+        sums = np.empty(diff.shape)
+        for index in range(len(sums)):
+            positive = 0.5 * np.add(total[index], diff[index], dtype=np.float64)
+            negative = 0.5 * np.subtract(total[index], diff[index], dtype=np.float64)
+            sums[index] = self.noise.apply(positive, negative)
         return sums

@@ -3,9 +3,11 @@
 Three layers of guarantees:
 
 * **artifact** -- a :class:`CompiledLayerPlan` is a faithful, pickle-able
-  freeze of one executor's derivation: adopting it (fresh, or after a
-  pickle round trip, or with float32 operands) changes no output bit and
-  no statistics counter relative to the unplanned vectorized path;
+  freeze of one executor's derivation: executing it (fresh, or after a
+  pickle round trip, or with float32 operands, noisy or collecting column
+  sums, at any tile height) changes no output bit, no statistics counter,
+  no collected column sum and no seeded noise draw relative to the
+  per-phase :class:`PimLayerExecutor` oracle;
 * **cache** -- the registry's fingerprint-keyed :class:`ModelPlanCache`
   reuses the *same* plan object across re-registrations that change only
   the hosting (thread<->process backend swap, rolling ``replace``) and
@@ -45,13 +47,11 @@ from tests.test_runtime_engine import (
 )
 
 
-def planned_and_unplanned(layer, config, noise=None, float32=False):
-    """A (planned, unplanned) executor pair for the same layer/config."""
-    unplanned = VectorizedLayerExecutor(layer, config, noise=noise, float32=float32)
-    planned = VectorizedLayerExecutor(layer, config, noise=noise, float32=float32)
-    plan = planned.compile_layer_plan()
-    assert planned.layer_plan is plan
-    return planned, unplanned, plan
+def planned_and_reference(layer, config, float32=False):
+    """A (planned, per-phase oracle) executor pair for the same layer/config."""
+    planned = VectorizedLayerExecutor(layer, config, float32=float32)
+    reference = PimLayerExecutor(layer, config)
+    return planned, reference, planned.layer_plan
 
 
 class TestCompiledLayerPlan:
@@ -60,40 +60,28 @@ class TestCompiledLayerPlan:
         self, name, tiny_linear_layer, tiny_patches
     ):
         config = PARITY_CONFIGS[name]
-        planned, unplanned, _ = planned_and_unplanned(tiny_linear_layer, config)
+        planned, reference, _ = planned_and_reference(tiny_linear_layer, config)
         assert np.array_equal(
-            planned.matmul(tiny_patches), unplanned.matmul(tiny_patches)
+            planned.matmul(tiny_patches), reference.matmul(tiny_patches)
         )
-        assert_stats_equal(planned.stats, unplanned.stats)
+        assert_stats_equal(planned.stats, reference.stats)
 
     def test_plan_survives_pickle(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella"]
-        planned, unplanned, plan = planned_and_unplanned(tiny_linear_layer, config)
+        _, reference, plan = planned_and_reference(tiny_linear_layer, config)
         revived = pickle.loads(pickle.dumps(plan))
         assert revived is not plan
         seeded = VectorizedLayerExecutor(tiny_linear_layer, config, plan=revived)
         assert seeded.layer_plan is revived
         assert np.array_equal(
-            seeded.matmul(tiny_patches), unplanned.matmul(tiny_patches)
+            seeded.matmul(tiny_patches), reference.matmul(tiny_patches)
         )
-        assert_stats_equal(seeded.stats, unplanned.stats)
+        assert_stats_equal(seeded.stats, reference.stats)
 
     def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PARITY_CONFIGS["raella_multi_chunk"]
-        planned, _, _ = planned_and_unplanned(tiny_linear_layer, config, float32=True)
-        reference = PimLayerExecutor(tiny_linear_layer, config)
-        assert np.array_equal(
-            planned.matmul(tiny_patches), reference.matmul(tiny_patches)
-        )
-
-    def test_noisy_plan_keeps_seeded_draw_order(self, tiny_linear_layer, tiny_patches):
-        config = PimLayerConfig()
-        planned, _, plan = planned_and_unplanned(
-            tiny_linear_layer, config, noise=GaussianColumnNoise(level=0.05, seed=11)
-        )
-        assert not plan.fast_path_eligible  # noisy layers keep the phase loop
-        reference = PimLayerExecutor(
-            tiny_linear_layer, config, noise=GaussianColumnNoise(level=0.05, seed=11)
+        planned, reference, _ = planned_and_reference(
+            tiny_linear_layer, config, float32=True
         )
         assert np.array_equal(
             planned.matmul(tiny_patches), reference.matmul(tiny_patches)
@@ -106,9 +94,7 @@ class TestCompiledLayerPlan:
         other_layer = Linear("other_fc", synthetic_linear_weights(5, 16, rng))
         inputs = np.abs(rng.normal(0, 1, size=(32, 16)))
         other_layer.calibrate(inputs, other_layer.forward_float(inputs))
-        plan = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig()
-        ).compile_layer_plan()
+        plan = VectorizedLayerExecutor(tiny_linear_layer, PimLayerConfig()).layer_plan
         with pytest.raises(ValueError, match="plan"):
             VectorizedLayerExecutor(other_layer, PimLayerConfig(), plan=plan)
         changed = PimLayerConfig(adc_bits=9)
@@ -117,22 +103,12 @@ class TestCompiledLayerPlan:
         assert plan.matches(tiny_linear_layer, PimLayerConfig())
         assert not plan.matches(tiny_linear_layer, changed)
 
-    def test_fast_path_gating(self, tiny_linear_layer):
-        eligible = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig()
-        ).compile_layer_plan()
-        assert eligible.fast_path_eligible
-        column_sums = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig(collect_column_sums=True)
-        ).compile_layer_plan()
-        assert not column_sums.fast_path_eligible
-
     def test_phase_table_shapes(self, tiny_linear_layer):
         serial = PimLayerConfig(
             speculation=SpeculationMode.BIT_SERIAL,
             serial_input_slicing=Slicing((2, 2, 2, 2)),
         )
-        plan = VectorizedLayerExecutor(tiny_linear_layer, serial).compile_layer_plan()
+        plan = VectorizedLayerExecutor(tiny_linear_layer, serial).layer_plan
         assert plan.n_phases == 4
         assert plan.spec_indices.size == 0
         assert plan.mode is SpeculationMode.BIT_SERIAL
@@ -153,46 +129,79 @@ def force_tile_rows(monkeypatch, executor, rows: int = TILE) -> None:
     assert vectorized.planned_tile_rows(plan, np.float32) == rows
 
 
-#: The parity configs with column-sum collection off (fast-path eligible),
-#: plus a 4-bit ADC whose recovery phases saturate, so every fidelity-loss
-#: counter is exercised.
+#: Seed of every seeded noise model the tiling tests build.
+NOISE_SEED = 11
+
+#: name -> (config, Gaussian noise level or ``None`` for a noiseless layer).
+#: The parity configs with column-sum collection off (tiled over M) and on
+#: (one full-M tile), a 4-bit ADC whose recovery phases saturate, so every
+#: fidelity-loss counter is exercised, and seeded noise (one full-M tile)
+#: in speculative mode collecting column sums and in bit-serial mode.
 TILING_CONFIGS = {
     **{
-        name: config.with_changes(collect_column_sums=False)
+        name: (config.with_changes(collect_column_sums=False), None)
         for name, config in PARITY_CONFIGS.items()
     },
-    "raella_adc4": PimLayerConfig(adc_bits=4),
+    **{
+        f"{name}_column_sums": (config.with_changes(collect_column_sums=True), None)
+        for name, config in PARITY_CONFIGS.items()
+    },
+    "raella_adc4": (PimLayerConfig(adc_bits=4), None),
+    "raella_noise0": (PARITY_CONFIGS["raella"], 0.0),
+    "raella_noise5": (PARITY_CONFIGS["raella"], 0.05),
+    "isaac_noise5": (PARITY_CONFIGS["isaac"], 0.05),
 }
 
 
-def assert_planned_matches_reference(planned, layer, config, codes) -> None:
-    """Planned executor vs the per-phase oracle: outputs and every counter."""
-    assert planned.layer_plan.fast_path_eligible
-    reference = PimLayerExecutor(layer, config)
+def seeded_noise(level: float | None) -> GaussianColumnNoise | None:
+    """A fresh seeded noise model (``None`` for noiseless)."""
+    return None if level is None else GaussianColumnNoise(level, seed=NOISE_SEED)
+
+
+def assert_noise_streams_aligned(planned_noise, reference_noise) -> None:
+    """Both seeded noise streams stopped at the same position."""
+    if planned_noise is None:
+        assert reference_noise is None
+        return
+    probe = (np.full(8, 100.0), np.zeros(8))
+    assert np.array_equal(planned_noise.apply(*probe), reference_noise.apply(*probe))
+
+
+def assert_planned_matches_reference(planned, layer, config, codes, level=None):
+    """Planned executor vs the per-phase oracle, bit for bit.
+
+    Outputs, every statistics counter, the collected column sums and the
+    seeded noise stream's next draw.
+    """
+    reference = PimLayerExecutor(layer, config, noise=seeded_noise(level))
     assert np.array_equal(planned.matmul(codes), reference.matmul(codes))
     assert_stats_equal(planned.stats, reference.stats)
+    if level is not None:
+        assert_noise_streams_aligned(planned.noise, reference.noise)
 
 
 class TestPlannedTiling:
-    """The tiled noiseless kernel at every tile boundary, bit for bit."""
+    """The one kernel at every tile boundary, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(TILING_CONFIGS))
     @pytest.mark.parametrize("m", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 2])
     def test_tile_boundaries_match_reference(
         self, monkeypatch, name, m, tiny_linear_layer, tiny_patches
     ):
-        config = TILING_CONFIGS[name]
-        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
-        planned.compile_layer_plan()
+        config, level = TILING_CONFIGS[name]
+        planned = VectorizedLayerExecutor(
+            tiny_linear_layer, config, noise=seeded_noise(level), float32=True
+        )
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(
-            planned, tiny_linear_layer, config, tiny_patches[:m]
+            planned, tiny_linear_layer, config, tiny_patches[:m], level
         )
 
     def test_narrow_adc_exercises_recovery_losses(
         self, tiny_linear_layer, tiny_patches
     ):
-        reference = PimLayerExecutor(tiny_linear_layer, TILING_CONFIGS["raella_adc4"])
+        config, _ = TILING_CONFIGS["raella_adc4"]
+        reference = PimLayerExecutor(tiny_linear_layer, config)
         reference.matmul(tiny_patches[: 3 * TILE + 2])
         assert reference.stats.adc_converts_recovery > 0
         assert reference.stats.fidelity_loss_events > 0
@@ -200,49 +209,50 @@ class TestPlannedTiling:
     def test_default_budget_multi_tile(self, tiny_linear_layer, rng):
         config = PimLayerConfig()
         planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
-        plan = planned.compile_layer_plan()
-        tile = vectorized.planned_tile_rows(plan, planned.gemm_dtypes[0])
+        tile = vectorized.planned_tile_rows(planned.layer_plan, planned.gemm_dtypes[0])
         codes = rng.integers(0, 256, size=(2 * tile + 3, 24))
         assert_planned_matches_reference(planned, tiny_linear_layer, config, codes)
 
     @pytest.mark.parametrize("name", sorted(TILING_CONFIGS))
     def test_conv_layers_match_reference(self, monkeypatch, name, tiny_conv_model, rng):
         """Real conv shapes: M = batch x output positions, many ragged tiles."""
-        config = TILING_CONFIGS[name]
+        config, level = TILING_CONFIGS[name]
+        noise, reference_noise = seeded_noise(level), seeded_noise(level)
         pool = ExecutorPool(float32=True)
-        plan = compile_model_plan(tiny_conv_model, config, pool=pool)
-        planned = NetworkEngine.build(tiny_conv_model, config, pool=pool, plan=plan)
-        reference = NetworkEngine(
+        plan = compile_model_plan(tiny_conv_model, config, noise, pool=pool)
+        planned = NetworkEngine.build(
+            tiny_conv_model, config, noise, pool=pool, plan=plan
+        )
+        reference = NetworkEngine.build(
             tiny_conv_model,
-            {
-                layer.name: PimLayerExecutor(layer, config)
-                for layer in tiny_conv_model.matmul_layers()
-            },
+            config,
+            reference_noise,
+            pool=ExecutorPool(executor_factory=PimLayerExecutor),
         )
         # 7 rows per tile on the first conv: 192 patch rows, ragged last tile.
-        force_tile_rows(monkeypatch, pool.get(tiny_conv_model.layers[0], config), 7)
+        force_tile_rows(monkeypatch, planned.executors["c1"], 7)
         inputs = np.abs(rng.normal(0, 1, size=(3, 3, 8, 8)))
         assert np.array_equal(planned.run(inputs), reference.run(inputs))
         planned_stats = planned.layer_statistics()
         for layer_name, stats in reference.layer_statistics().items():
             assert_stats_equal(planned_stats[layer_name], stats)
         assert planned_stats["c1"].n_inputs == 3 * 8 * 8
+        assert_noise_streams_aligned(noise, reference_noise)
 
     def test_float64_fallback_chunk(self, monkeypatch, tiny_linear_layer, tiny_patches):
         """Mixed-dtype chunks: one chunk's GEMM cannot be proven float32-exact."""
-        config = TILING_CONFIGS["raella_multi_chunk"]
+        config, _ = TILING_CONFIGS["raella_multi_chunk"]
         probe = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
-        max_slice = max((1 << phase.width) - 1 for phase in probe.plan.phases)
+        max_slice = probe.layer_plan.max_slice_value
         bounds = sorted(
             max_slice * np.abs(operands.weights).astype(np.float64).sum(axis=0).max()
-            for operands in probe._operands
+            for operands in probe.layer_plan.operands
         )
         assert bounds[0] < bounds[-1]
         # A float32 limit between the chunks' bounds demotes the largest.
         monkeypatch.setattr(plan_module, "_FLOAT32_EXACT_LIMIT", bounds[-1])
         planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
         assert set(planned.gemm_dtypes) == {np.float32, np.float64}
-        planned.compile_layer_plan()
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(
             planned, tiny_linear_layer, config, tiny_patches[: 2 * TILE + 1]
@@ -252,7 +262,6 @@ class TestPlannedTiling:
         layer, patches = signed_layer_and_patches
         config = PimLayerConfig()
         planned = VectorizedLayerExecutor(layer, config, float32=True)
-        planned.compile_layer_plan()
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(planned, layer, config, patches)
 
