@@ -187,11 +187,11 @@ def test_planned_outputs_bit_identical_across_backends(plan_setup):
 
 @pytest.fixture(scope="module")
 def conv_engines():
-    """Each sweep model on the oracle and planned (float32, as served)."""
+    """Each sweep model on the oracle and on the planned kernel, as served."""
     engines = {}
     for name, build in SWEEP_MODELS.items():
         model = build(seed=0)
-        pool = ExecutorPool(float32=True)
+        pool = ExecutorPool()
         plan = compile_model_plan(model, pool=pool)
         engines[name] = (
             NetworkEngine.build(model, pool=oracle_pool()),

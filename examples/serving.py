@@ -60,7 +60,7 @@ def main() -> None:
     rng = np.random.default_rng(0)
 
     print("== 1. Host two tenants in one registry ==")
-    registry = ModelRegistry()  # shared pool + weight cache, float32 fast path
+    registry = ModelRegistry()  # shared pool + weight cache
     # arch= builds each tenant's CostModel (per-layer energy/latency tables
     # on the paper's RAELLA architecture) for the telemetry in section 4.
     registry.register("tenant_a", make_model("model_a", seed=1), arch=RAELLA_ARCH)

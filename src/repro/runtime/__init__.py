@@ -13,17 +13,16 @@ batched engine while staying bit-identical to the per-phase reference:
   chunk into one BLAS GEMM and collapses the per-phase ADC/speculation loop
   into a few tensor operations per cache-sized row tile of the batch.  Slice
   and weight values are small integers, so the float64 GEMM is exact and the
-  results are bit-identical to the integer per-phase path.  An opt-in
-  float32 GEMM (used by :mod:`repro.serve`) applies wherever
-  :func:`float32_gemm_is_exact` proves the accumulation fits float32's
-  24-bit mantissa.  Seeded noise and column-sum collection run through the
-  same kernel as one full-batch tile, drawn and recorded per phase in plan
-  order.
+  results are bit-identical to the integer per-phase path.  The GEMM runs
+  in float32 wherever :func:`float32_gemm_is_exact` proves the
+  accumulation fits float32's 24-bit mantissa, chunk by chunk.  Seeded
+  noise and column-sum collection run through the same kernel as one
+  full-batch tile, drawn and recorded per phase in plan order.
 * :mod:`repro.runtime.plan` compiles the whole derivation -- slicing extents,
   GEMM operand views with proven dtypes, phase x weight-slice scales,
   speculation gather tables, micro-batch split points -- into a pickle-able
-  :class:`ModelPlan` built once per ``(model, config, noise, float32)`` and
-  then *executed*; replica workers boot from the shipped plan without
+  :class:`ModelPlan` built once per ``(model, config, noise)`` and then
+  *executed*; replica workers boot from the shipped plan without
   re-encoding weights.
 * :mod:`repro.runtime.cache` shares encoded weights across executor instances
   (center optimisation dominates executor construction) and pools executors

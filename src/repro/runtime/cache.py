@@ -105,7 +105,7 @@ GLOBAL_WEIGHT_CACHE = EncodedWeightCache()
 
 
 class ExecutorPool:
-    """Reuses one executor per ``(layer, config, noise, float32)`` combination.
+    """Reuses one executor per ``(layer, config, noise)`` combination.
 
     A pooled executor keeps its crossbars programmed and its statistics
     accumulating across uses; call ``get(..., reset_stats=True)`` to start a
@@ -124,17 +124,12 @@ class ExecutorPool:
         Executor class to instantiate (the vectorized one by default).
     weight_cache:
         Encoded-weight cache handed to vectorized executors.
-    float32:
-        Default for ``get``'s ``float32`` flag: request the opt-in float32
-        GEMM fast path (applied per chunk only where provably exact; see
-        :class:`~repro.runtime.vectorized.VectorizedLayerExecutor`).
     """
 
     def __init__(
         self,
         executor_factory: type[PimLayerExecutor] | None = None,
         weight_cache: EncodedWeightCache | None = GLOBAL_WEIGHT_CACHE,
-        float32: bool = False,
     ):
         if executor_factory is None:
             from repro.runtime.vectorized import VectorizedLayerExecutor
@@ -142,7 +137,6 @@ class ExecutorPool:
             executor_factory = VectorizedLayerExecutor
         self.executor_factory = executor_factory
         self.weight_cache = weight_cache
-        self.float32 = float32
         self._executors: dict[Hashable, PimLayerExecutor] = {}
         self._lock = threading.RLock()
 
@@ -152,15 +146,9 @@ class ExecutorPool:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         reset_stats: bool = False,
-        float32: bool | None = None,
         plan=None,
     ) -> PimLayerExecutor:
         """Return a pooled executor for the layer, building one on first use.
-
-        ``float32`` overrides the pool default for this lookup; it is part of
-        the pool key, so float32 and float64 executors for the same layer
-        coexist.  The flag is ignored (normalised to off) for executor
-        factories without a float32 fast path.
 
         ``plan`` (a :class:`~repro.runtime.plan.CompiledLayerPlan`) seeds a
         newly built vectorized executor with its precompiled chunks and
@@ -174,22 +162,13 @@ class ExecutorPool:
 
         config = config or PimLayerConfig()
         vectorized = issubclass(self.executor_factory, VectorizedLayerExecutor)
-        use_float32 = (self.float32 if float32 is None else float32) and vectorized
-        if not vectorized:
-            plan = None
-        key = (
-            id(layer),
-            config,
-            id(noise) if noise is not None else None,
-            use_float32,
-        )
+        key = (id(layer), config, id(noise) if noise is not None else None)
         with self._lock:
             executor = self._executors.get(key)
             if executor is None:
                 kwargs = {}
                 if vectorized:
                     kwargs["weight_cache"] = self.weight_cache
-                    kwargs["float32"] = use_float32
                     kwargs["plan"] = plan
                 executor = self.executor_factory(layer, config, noise=noise, **kwargs)
                 self._executors[key] = executor

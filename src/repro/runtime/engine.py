@@ -102,14 +102,9 @@ class NetworkEngine:
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
         pool: ExecutorPool | None = None,
-        float32: bool | None = None,
         plan=None,
     ) -> "NetworkEngine":
         """Build with one uniform config per layer, executors from a pool.
-
-        ``float32`` requests the vectorized executors' opt-in float32 GEMM
-        fast path (bit-identical; applied per chunk only where provably
-        exact); ``None`` defers to the pool's default.
 
         ``plan`` (a compiled :class:`~repro.runtime.plan.ModelPlan`) seeds
         each newly pooled executor with its layer's
@@ -128,7 +123,6 @@ class NetworkEngine:
                 layer,
                 config,
                 noise=noise,
-                float32=float32,
                 plan=plan.layer_plan(layer.name) if plan is not None else None,
             )
             for layer in model.matmul_layers()

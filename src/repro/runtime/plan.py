@@ -6,7 +6,7 @@ shows the per-batch cost is no longer the GEMM: it is the per-phase Python
 loop around it -- eleven ADC round/clip/saturate passes, speculation masking,
 statistics bookkeeping and operand lookups, all re-derived from the layer
 configuration on every batch.  None of that depends on the inputs; all of it
-is a pure function of ``(model, config, noise-lessness, float32)``.
+is a pure function of ``(model, config, noise-lessness)``.
 
 This module hoists that work into two pickle-able artifacts:
 
@@ -78,13 +78,7 @@ def float32_gemm_is_exact(max_slice_value: int, weights: np.ndarray) -> bool:
 class _ChunkOperands:
     """Float GEMM operands of one encoded chunk, prepared once per plan."""
 
-    def __init__(
-        self,
-        chunk: _EncodedChunk,
-        noiseless: bool,
-        float32: bool,
-        max_slice_value: int,
-    ):
+    def __init__(self, chunk: _EncodedChunk, noiseless: bool, max_slice_value: int):
         if noiseless:
             # Noiseless sums only need W+ - W-.
             weights = chunk.diff_flat
@@ -94,11 +88,10 @@ class _ChunkOperands:
             weights = np.hstack([chunk.diff_flat, chunk.sum_flat])
         # Analog activity has a closed form: pulses @ per-row sum of W+ + W-.
         self.sum_flat_rowsum = chunk.sum_flat.sum(axis=1)
-        self.dtype = (
-            np.float32
-            if float32 and float32_gemm_is_exact(max_slice_value, weights)
-            else np.float64
-        )
+        # float32 (twice float64's BLAS throughput) wherever it is provably
+        # exact; any chunk the proof rejects keeps float64.
+        exact = float32_gemm_is_exact(max_slice_value, weights)
+        self.dtype = np.float32 if exact else np.float64
         self.weights = weights.astype(self.dtype)
 
 
@@ -123,7 +116,6 @@ class CompiledLayerPlan:
     config: PimLayerConfig
     input_plan: InputSlicePlan
     noiseless: bool
-    float32: bool
     n_slices: int
     n_filters: int
     max_slice_value: int
@@ -152,10 +144,9 @@ class CompiledLayerPlan:
         phases = input_plan.phases
         chunks = tuple(executor._chunks)
         noiseless = isinstance(executor.noise, NoiselessModel)
-        float32 = bool(executor.float32)
         max_slice_value = max((1 << phase.width) - 1 for phase in phases)
         operands = tuple(
-            _ChunkOperands(chunk, noiseless, float32, max_slice_value)
+            _ChunkOperands(chunk, noiseless, max_slice_value)
             for chunk in chunks
         )
         slicing = (
@@ -184,7 +175,6 @@ class CompiledLayerPlan:
             config=executor.config,
             input_plan=input_plan,
             noiseless=noiseless,
-            float32=float32,
             n_slices=slicing.n_slices,
             n_filters=executor.layer.out_features,
             max_slice_value=max_slice_value,
@@ -210,7 +200,7 @@ class CompiledLayerPlan:
 class ModelPlan:
     """A whole model's compiled execution plan (one entry per matmul layer).
 
-    Compiled once per ``(model weights, config, noise-lessness, float32,
+    Compiled once per ``(model weights, config, noise-lessness,
     micro_batch)`` by :func:`compile_model_plan`, cached by the registry's
     :class:`~repro.runtime.cache.ModelPlanCache`, threaded through
     :meth:`NetworkEngine.build <repro.runtime.engine.NetworkEngine.build>`
@@ -221,7 +211,6 @@ class ModelPlan:
     model_name: str
     config: PimLayerConfig
     noiseless: bool
-    float32: bool
     micro_batch: int | None
     layers: Mapping[str, CompiledLayerPlan] = field(repr=False)
 
@@ -244,7 +233,6 @@ class ModelPlan:
         model,
         config: PimLayerConfig,
         noise: NoiseModel | None,
-        float32: bool,
         micro_batch: int | None,
     ) -> tuple:
         """The identity a compiled plan depends on (and nothing else).
@@ -263,7 +251,6 @@ class ModelPlan:
             ),
             config,
             noiseless,
-            bool(float32),
             micro_batch,
         )
 
@@ -273,7 +260,6 @@ def compile_model_plan(
     config: PimLayerConfig | None = None,
     noise: NoiseModel | None = None,
     *,
-    float32: bool | None = None,
     micro_batch: int | None = None,
     pool=None,
 ) -> ModelPlan:
@@ -290,18 +276,12 @@ def compile_model_plan(
     pool = pool if pool is not None else ExecutorPool()
     layers = {}
     for layer in model.matmul_layers():
-        executor = pool.get(layer, config, noise=noise, float32=float32)
+        executor = pool.get(layer, config, noise=noise)
         layers[layer.name] = executor.layer_plan
-    noiseless = noise is None or isinstance(noise, NoiselessModel)
-    # The pool normalises the float32 request (``None`` -> pool default,
-    # forced off for non-vectorized factories); read the resolved value back
-    # from the harvested plans so the ModelPlan records what actually runs.
-    resolved_float32 = any(plan.float32 for plan in layers.values())
     return ModelPlan(
         model_name=model.name,
         config=config,
-        noiseless=noiseless,
-        float32=resolved_float32,
+        noiseless=noise is None or isinstance(noise, NoiselessModel),
         micro_batch=micro_batch,
         layers=layers,
     )

@@ -334,7 +334,6 @@ class EngineSpec:
     config: PimLayerConfig | None = None
     noise: NoiseModel | None = None
     micro_batch: int | None = None
-    float32: bool = False
     sys_path: tuple[str, ...] = field(default_factory=tuple)
     blas_threads: int | None = 1
     plan: object | None = None
@@ -349,14 +348,13 @@ def _build_engine_from_spec(spec: EngineSpec):
     from repro.runtime.cache import EncodedWeightCache, ExecutorPool
     from repro.runtime.engine import NetworkEngine
 
-    pool = ExecutorPool(weight_cache=EncodedWeightCache(), float32=spec.float32)
+    pool = ExecutorPool(weight_cache=EncodedWeightCache())
     return NetworkEngine.build(
         spec.model,
         spec.config,
         noise=spec.noise,
         micro_batch=spec.micro_batch,
         pool=pool,
-        float32=spec.float32,
         plan=spec.plan,
     )
 
@@ -1009,7 +1007,6 @@ class ReplicaPool:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool = False,
         replicas: int = 2,
         start_method: str | None = None,
         blas_threads: int | None = 1,
@@ -1035,7 +1032,6 @@ class ReplicaPool:
             config=config,
             noise=noise,
             micro_batch=micro_batch,
-            float32=float32,
             sys_path=tuple(sys.path),
             blas_threads=blas_threads,
             plan=plan,
@@ -1441,7 +1437,6 @@ class ReplicaPool:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool = False,
         blas_threads: int | None = 1,
         replicas: int | None = None,
         plan=None,
@@ -1463,7 +1458,6 @@ class ReplicaPool:
             config=config,
             noise=noise,
             micro_batch=micro_batch,
-            float32=float32,
             sys_path=tuple(sys.path),
             blas_threads=blas_threads,
             plan=plan,

@@ -25,16 +25,15 @@ work -- all phases of a tile at once, any tile height, one tensor
 contraction for the scale-sum -- moves no bit of the outputs or of the
 integer :class:`~repro.core.executor.LayerStatistics` counters.
 
-The same argument admits an opt-in **float32 GEMM** (``float32=True``):
-when every partial sum of a chunk's GEMM is provably below float32's 24-bit
-integer-exact range (:func:`float32_gemm_is_exact`), the GEMM runs in float32
-(roughly twice the BLAS throughput, half the operand memory traffic).  Chunks
-that cannot be proven safe silently stay on float64, so the flag is always
-safe to set.  The multi-tenant serving layer (:mod:`repro.serve`) enables it
-by default.  Noiseless tiles stay in the GEMM's exact dtype through the ADC
-stage: column sums are already integers, so the reference's ``round`` is the
-identity and is skipped.  Each tile is sized by :data:`PLANNED_TILE_BYTES`
-to stay in cache.
+The same argument makes the GEMM run in **float32** wherever it is provably
+exact: when every partial sum of a chunk's GEMM stays below float32's 24-bit
+integer-exact range (:func:`float32_gemm_is_exact`), float32 is bit-identical
+to float64 at roughly twice the BLAS throughput and half the operand memory
+traffic.  A chunk the proof rejects runs in float64, one chunk at a time.
+Noiseless tiles stay in the GEMM's exact dtype through the ADC stage: column
+sums are already integers, so the reference's ``round`` is the identity and
+is skipped.  Each tile is sized by :data:`PLANNED_TILE_BYTES` to stay in
+cache.
 
 Two cases are order-sensitive and run as one full-M tile instead:
 
@@ -96,18 +95,12 @@ class VectorizedLayerExecutor(PimLayerExecutor):
     weight_cache:
         Encoded-weight cache shared across executor instances; pass ``None``
         to encode privately.  Defaults to the process-wide cache.
-    float32:
-        Opt into the float32 GEMM.  Applied per chunk only where
-        :func:`float32_gemm_is_exact` proves the accumulation fits float32's
-        24-bit mantissa; other chunks keep float64.  Results are bit-identical
-        either way.
     plan:
         A :class:`~repro.runtime.plan.CompiledLayerPlan` compiled for exactly
-        this (layer, config, noise-lessness, float32) combination.  When
-        given, the executor boots from the plan's pre-encoded chunks and
-        operand tables -- no weight encoding at all; otherwise it compiles
-        its own plan on construction.  Either way the plan is
-        :attr:`layer_plan`.
+        this (layer, config, noise-lessness) combination.  When given, the
+        executor boots from the plan's pre-encoded chunks and operand tables
+        -- no weight encoding at all; otherwise it compiles its own plan on
+        construction.  Either way the plan is :attr:`layer_plan`.
     """
 
     def __init__(
@@ -116,11 +109,9 @@ class VectorizedLayerExecutor(PimLayerExecutor):
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         weight_cache: EncodedWeightCache | None = GLOBAL_WEIGHT_CACHE,
-        float32: bool = False,
         plan: CompiledLayerPlan | None = None,
     ):
         self._weight_cache = weight_cache
-        self.float32 = float32
         # Set before super().__init__: _build_encoded_chunks runs inside it
         # and serves the plan's chunks when present.
         self._plan_chunks = None if plan is None else plan.chunks
@@ -134,11 +125,10 @@ class VectorizedLayerExecutor(PimLayerExecutor):
                 f"match executor for {self.layer.name!r}"
             )
         noiseless = isinstance(self.noise, NoiselessModel)
-        if plan.noiseless != noiseless or plan.float32 != bool(self.float32):
+        if plan.noiseless != noiseless:
             raise ValueError(
-                "plan noiseless/float32 flags "
-                f"({plan.noiseless}/{plan.float32}) do not match executor "
-                f"({noiseless}/{bool(self.float32)})"
+                f"plan noiseless={plan.noiseless} does not match executor "
+                f"noiseless={noiseless}"
             )
         #: The compiled plan every batch executes against.
         self.layer_plan = plan

@@ -9,8 +9,7 @@ layer:
   ``backend="thread"`` builds an in-process
   :class:`~repro.runtime.NetworkEngine`; thread engines share one
   :class:`~repro.runtime.ExecutorPool` / :class:`~repro.runtime.EncodedWeightCache`
-  (identical weights share encoded crossbars across tenants), with the
-  runtime's float32 GEMM fast path enabled by default.
+  (identical weights share encoded crossbars across tenants).
   ``backend="process", replicas=N`` hosts a model out of process in a
   self-healing :class:`~repro.runtime.ReplicaPool` of worker processes
   with a zero-copy shared-memory request path, sidestepping the GIL for

@@ -11,10 +11,6 @@ weights (fine-tuned model families, A/B variants) therefore share encoded
 crossbars automatically, and re-registering a model after eviction re-uses its
 pooled executors outright.
 
-The registry enables the runtime's float32 GEMM fast path by default: serving
-is the hot path the ROADMAP targets, and the fast path silently degrades to
-float64 per chunk wherever exactness cannot be proven, so it is always safe.
-
 Registration also compiles (and owns) each model's
 :class:`~repro.runtime.plan.ModelPlan`: the per-layer execution recipes --
 encoded chunks, phase index tables, GEMM operand views, speculation gather
@@ -52,15 +48,12 @@ class ModelRegistry:
     pool:
         Executor pool shared by every hosted engine; built fresh (with its own
         weight cache) when omitted.
-    float32:
-        Default for the float32 GEMM fast path of newly registered engines.
     """
 
-    def __init__(self, pool: ExecutorPool | None = None, float32: bool = True):
+    def __init__(self, pool: ExecutorPool | None = None):
         if pool is None:
-            pool = ExecutorPool(weight_cache=EncodedWeightCache(), float32=float32)
+            pool = ExecutorPool(weight_cache=EncodedWeightCache())
         self.pool = pool
-        self.float32 = float32
         self._engines: dict[str, NetworkEngine] = {}
         # Compiled execution plans: the LRU cache deduplicates across hosted
         # names (fingerprint-keyed), _plans maps each live name to the plan
@@ -91,7 +84,6 @@ class ModelRegistry:
         config: PimLayerConfig | None = None,
         noise: NoiseModel | None = None,
         micro_batch: int | None = None,
-        float32: bool | None = None,
         arch: ArchitectureSpec | None = None,
         tenant: str | None = None,
         backend: str = "thread",
@@ -147,7 +139,6 @@ class ModelRegistry:
             raise ValueError("replicas must be >= 1")
         if replicas is not None and replicas > 1 and backend != "process":
             raise ValueError("replicas > 1 requires backend='process'")
-        use_float32 = self.float32 if float32 is None else float32
         # Reserve the name, then build outside the registry lock so
         # concurrent tenant registrations overlap their compilation work
         # (the pool/cache locks already make the shared structures safe).
@@ -165,14 +156,13 @@ class ModelRegistry:
                 self._reserved.add(name)
         try:
             cost_model = None if arch is None else CostModel.from_model(model, arch)
-            plan = self._compile_plan(model, config, noise, use_float32, micro_batch)
+            plan = self._compile_plan(model, config, noise, micro_batch)
             if rolling is not None:
                 rolling.replace(
                     model,
                     config,
                     noise=noise,
                     micro_batch=micro_batch,
-                    float32=use_float32,
                     blas_threads=blas_threads,
                     replicas=replicas,
                     plan=plan,
@@ -184,7 +174,6 @@ class ModelRegistry:
                     config,
                     noise=noise,
                     micro_batch=micro_batch,
-                    float32=use_float32,
                     replicas=1 if replicas is None else replicas,
                     blas_threads=blas_threads,
                     plan=plan,
@@ -196,7 +185,6 @@ class ModelRegistry:
                     noise=noise,
                     micro_batch=micro_batch,
                     pool=self.pool,
-                    float32=use_float32,
                     plan=plan,
                 )
         except BaseException:
@@ -232,7 +220,6 @@ class ModelRegistry:
         model: QuantizedModel,
         config: PimLayerConfig | None,
         noise: NoiseModel | None,
-        float32: bool,
         micro_batch: int | None,
     ) -> ModelPlan | None:
         """Compile (or fetch from cache) the model's execution plan.
@@ -249,14 +236,13 @@ class ModelRegistry:
         if not issubclass(self.pool.executor_factory, VectorizedLayerExecutor):
             return None
         resolved_config = config if config is not None else PimLayerConfig()
-        key = ModelPlan.cache_key(model, resolved_config, noise, float32, micro_batch)
+        key = ModelPlan.cache_key(model, resolved_config, noise, micro_batch)
         return self._plan_cache.get_or_compile(
             key,
             lambda: compile_model_plan(
                 model,
                 resolved_config,
                 noise=noise,
-                float32=float32,
                 micro_batch=micro_batch,
                 pool=self.pool,
             ),

@@ -4,8 +4,8 @@ Three layers of guarantees:
 
 * **artifact** -- a :class:`CompiledLayerPlan` is a faithful, pickle-able
   freeze of one executor's derivation: executing it (fresh, or after a
-  pickle round trip, or with float32 operands, noisy or collecting column
-  sums, at any tile height) changes no output bit, no statistics counter,
+  pickle round trip, in either GEMM dtype, noisy or collecting column sums,
+  at any tile height) changes no output bit, no statistics counter,
   no collected column sum and no seeded noise draw relative to the
   per-phase :class:`PimLayerExecutor` oracle;
 * **cache** -- the registry's fingerprint-keyed :class:`ModelPlanCache`
@@ -47,9 +47,9 @@ from tests.test_runtime_engine import (
 )
 
 
-def planned_and_reference(layer, config, float32=False):
+def planned_and_reference(layer, config):
     """A (planned, per-phase oracle) executor pair for the same layer/config."""
-    planned = VectorizedLayerExecutor(layer, config, float32=float32)
+    planned = VectorizedLayerExecutor(layer, config)
     reference = PimLayerExecutor(layer, config)
     return planned, reference, planned.layer_plan
 
@@ -77,15 +77,6 @@ class TestCompiledLayerPlan:
             seeded.matmul(tiny_patches), reference.matmul(tiny_patches)
         )
         assert_stats_equal(seeded.stats, reference.stats)
-
-    def test_float32_plan_bit_identical(self, tiny_linear_layer, tiny_patches):
-        config = PARITY_CONFIGS["raella_multi_chunk"]
-        planned, reference, _ = planned_and_reference(
-            tiny_linear_layer, config, float32=True
-        )
-        assert np.array_equal(
-            planned.matmul(tiny_patches), reference.matmul(tiny_patches)
-        )
 
     def test_adopt_rejects_mismatched_layer_or_config(self, tiny_linear_layer, rng):
         from repro.nn.layers import Linear
@@ -190,7 +181,7 @@ class TestPlannedTiling:
     ):
         config, level = TILING_CONFIGS[name]
         planned = VectorizedLayerExecutor(
-            tiny_linear_layer, config, noise=seeded_noise(level), float32=True
+            tiny_linear_layer, config, noise=seeded_noise(level)
         )
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(
@@ -208,7 +199,7 @@ class TestPlannedTiling:
 
     def test_default_budget_multi_tile(self, tiny_linear_layer, rng):
         config = PimLayerConfig()
-        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config)
         tile = vectorized.planned_tile_rows(planned.layer_plan, planned.gemm_dtypes[0])
         codes = rng.integers(0, 256, size=(2 * tile + 3, 24))
         assert_planned_matches_reference(planned, tiny_linear_layer, config, codes)
@@ -218,7 +209,7 @@ class TestPlannedTiling:
         """Real conv shapes: M = batch x output positions, many ragged tiles."""
         config, level = TILING_CONFIGS[name]
         noise, reference_noise = seeded_noise(level), seeded_noise(level)
-        pool = ExecutorPool(float32=True)
+        pool = ExecutorPool()
         plan = compile_model_plan(tiny_conv_model, config, noise, pool=pool)
         planned = NetworkEngine.build(
             tiny_conv_model, config, noise, pool=pool, plan=plan
@@ -242,7 +233,7 @@ class TestPlannedTiling:
     def test_float64_fallback_chunk(self, monkeypatch, tiny_linear_layer, tiny_patches):
         """Mixed-dtype chunks: one chunk's GEMM cannot be proven float32-exact."""
         config, _ = TILING_CONFIGS["raella_multi_chunk"]
-        probe = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        probe = VectorizedLayerExecutor(tiny_linear_layer, config)
         max_slice = probe.layer_plan.max_slice_value
         bounds = sorted(
             max_slice * np.abs(operands.weights).astype(np.float64).sum(axis=0).max()
@@ -251,7 +242,7 @@ class TestPlannedTiling:
         assert bounds[0] < bounds[-1]
         # A float32 limit between the chunks' bounds demotes the largest.
         monkeypatch.setattr(plan_module, "_FLOAT32_EXACT_LIMIT", bounds[-1])
-        planned = VectorizedLayerExecutor(tiny_linear_layer, config, float32=True)
+        planned = VectorizedLayerExecutor(tiny_linear_layer, config)
         assert set(planned.gemm_dtypes) == {np.float32, np.float64}
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(
@@ -261,7 +252,7 @@ class TestPlannedTiling:
     def test_signed_inputs(self, monkeypatch, signed_layer_and_patches):
         layer, patches = signed_layer_and_patches
         config = PimLayerConfig()
-        planned = VectorizedLayerExecutor(layer, config, float32=True)
+        planned = VectorizedLayerExecutor(layer, config)
         force_tile_rows(monkeypatch, planned)
         assert_planned_matches_reference(planned, layer, config, patches)
 
@@ -284,22 +275,17 @@ class TestModelPlan:
         assert plan.layer_plan("no_such_layer") is None
 
     def test_cache_key_sensitivity(self, tiny_mlp_model):
-        base = ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, True, None)
+        base = ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, None)
         assert base == ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), NoiselessModel(), True, None
+            tiny_mlp_model, PimLayerConfig(), NoiselessModel(), None
         )
         assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(adc_bits=8), None, True, None
+            tiny_mlp_model, PimLayerConfig(adc_bits=8), None, None
         )
-        assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), None, False, None
-        )
-        assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), None, True, 8
-        )
+        assert base != ModelPlan.cache_key(tiny_mlp_model, PimLayerConfig(), None, 8)
         noisy = GaussianColumnNoise(level=0.05)
         assert base != ModelPlan.cache_key(
-            tiny_mlp_model, PimLayerConfig(), noisy, True, None
+            tiny_mlp_model, PimLayerConfig(), noisy, None
         )
 
     def test_engine_build_adopts_plan(self, tiny_mlp_model, rng):
@@ -405,3 +391,26 @@ class TestPlanTransport:
             assert not outputs.flags.writeable  # pooled zero-copy view
         finally:
             engine.close()
+
+    def test_registry_plan_boots_default_engines(self, tiny_mlp_model, rng):
+        """The registry's plan runs in engines built with default arguments."""
+        inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
+        registry = ModelRegistry()
+        try:
+            hosted = registry.register("mlp", tiny_mlp_model)
+            plan = registry.plan("mlp")
+            expected = hosted.run(inputs)
+            built = NetworkEngine.build(tiny_mlp_model, plan=plan)
+            assert built.model_plan is plan
+            assert np.array_equal(built.run(inputs), expected)
+            assert_stats_equal(built.network_statistics(), hosted.network_statistics())
+            launched = ReplicaPool.launch(tiny_mlp_model, replicas=1, plan=plan)
+            try:
+                assert np.array_equal(launched.run(inputs), expected)
+                assert_stats_equal(
+                    launched.network_statistics(), hosted.network_statistics()
+                )
+            finally:
+                launched.close()
+        finally:
+            registry.close()

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analog.noise import GaussianColumnNoise
+from repro.core.executor import PimLayerExecutor
 from repro.runtime import (
     EngineSpec,
     EngineWorker,
@@ -107,10 +108,13 @@ class TestSingleReplicaParity:
             )
 
     def test_float32_fast_path_parity(self, tiny_mlp_model, rng):
+        """The worker's float32 GEMM matches the per-phase oracle."""
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        with launch(tiny_mlp_model, float32=True) as engine:
+        oracle = ExecutorPool(executor_factory=PimLayerExecutor, weight_cache=None)
+        with launch(tiny_mlp_model) as engine:
             assert np.array_equal(
-                reference_engine(tiny_mlp_model).run(inputs), engine.run(inputs)
+                NetworkEngine.build(tiny_mlp_model, pool=oracle).run(inputs),
+                engine.run(inputs),
             )
 
 
@@ -232,7 +236,7 @@ class TestRegistryAndServerIntegration:
             assert registry.engine("mlp") is engine
             assert registry.model("mlp") is tiny_mlp_model
             assert np.array_equal(
-                reference_engine(tiny_mlp_model, float32=True).run(inputs),
+                reference_engine(tiny_mlp_model).run(inputs),
                 engine.run(inputs),
             )
 
@@ -251,7 +255,7 @@ class TestRegistryAndServerIntegration:
 
     def test_server_over_process_backend_bit_identical(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(10, 16)))
-        direct = reference_engine(tiny_mlp_model, float32=True).run(inputs)
+        direct = reference_engine(tiny_mlp_model).run(inputs)
         telemetry = TelemetryCollector()
         with ModelRegistry() as registry:
             registry.register("mlp", tiny_mlp_model, backend="process")
@@ -281,8 +285,8 @@ class TestRegistryAndServerIntegration:
     ):
         mlp_in = np.abs(rng.normal(0, 1, size=(4, 16)))
         conv_in = np.abs(rng.normal(0, 1, size=(3, 3, 8, 8)))
-        direct_mlp = reference_engine(tiny_mlp_model, float32=True).run(mlp_in)
-        direct_conv = reference_engine(tiny_conv_model, float32=True).run(conv_in)
+        direct_mlp = reference_engine(tiny_mlp_model).run(mlp_in)
+        direct_conv = reference_engine(tiny_conv_model).run(conv_in)
         with ModelRegistry() as registry:
             registry.register("mlp", tiny_mlp_model, backend="process")
             registry.register("conv", tiny_conv_model)  # thread backend

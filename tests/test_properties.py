@@ -183,7 +183,7 @@ class TestCompiledPlanPhaseProperties:
             if mode is SpeculationMode.BIT_SERIAL
             else PimLayerConfig(speculation=mode, speculative_input_slicing=slicing)
         )
-        planned = VectorizedLayerExecutor(layer, config, float32=True)
+        planned = VectorizedLayerExecutor(layer, config)
         reference = PimLayerExecutor(layer, config)
         codes = rng.integers(0, 256, size=(m, 12))
         assert np.array_equal(planned.matmul(codes), reference.matmul(codes))
@@ -252,7 +252,7 @@ def fuzz_case(draw):
         "seed": draw(st.integers(min_value=0, max_value=10_000)),
         "config": config,
         "noise": noise,
-        "float32": draw(st.booleans()),
+        "force_float64": draw(st.booleans()),
         "signed": draw(st.booleans()),
         "tile": tile,
         "batches": batches,
@@ -278,6 +278,7 @@ class TestDifferentialFuzz:
 
         from repro.analog.noise import GaussianColumnNoise
         from repro.core.executor import LayerStatistics
+        from repro.runtime import plan as plan_module
         from repro.runtime import vectorized
         from repro.runtime.vectorized import VectorizedLayerExecutor
 
@@ -294,9 +295,13 @@ class TestDifferentialFuzz:
             return GaussianColumnNoise(level, seed=seed)
 
         config = case["config"]
-        kernel = VectorizedLayerExecutor(
-            layer, config, noise=noise_model(), float32=case["float32"]
-        )
+        if case["force_float64"]:
+            # No chunk proves float32-exact: every GEMM falls back to float64.
+            with mock.patch.object(plan_module, "_FLOAT32_EXACT_LIMIT", 0):
+                kernel = VectorizedLayerExecutor(layer, config, noise=noise_model())
+            assert set(kernel.gemm_dtypes) == {np.float64}
+        else:
+            kernel = VectorizedLayerExecutor(layer, config, noise=noise_model())
         oracle = PimLayerExecutor(layer, config, noise=noise_model())
         plan = kernel.layer_plan
         row_bytes = plan.n_phases * plan.n_slices * plan.n_filters * 8

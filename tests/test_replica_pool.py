@@ -253,7 +253,7 @@ class TestRegistryReplicas:
             assert isinstance(engine, ReplicaPool)
             assert engine.replicas == 2
             assert np.array_equal(
-                reference_engine(tiny_mlp_model, float32=True).run(inputs),
+                reference_engine(tiny_mlp_model).run(inputs),
                 engine.run(inputs),
             )
 
@@ -266,7 +266,7 @@ class TestRegistryReplicas:
 
     def test_rolling_replace_keeps_pool_and_resizes(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(4, 16)))
-        expected = reference_engine(tiny_mlp_model, float32=True).run(inputs)
+        expected = reference_engine(tiny_mlp_model).run(inputs)
         with ModelRegistry() as registry:
             engine = registry.register(
                 "mlp", tiny_mlp_model, backend="process", replicas=2
@@ -305,7 +305,7 @@ class TestRegistryReplicas:
             assert isinstance(threaded, NetworkEngine)
             assert pool.closed  # the displaced pool is drained and closed
             assert np.array_equal(
-                reference_engine(tiny_mlp_model, float32=True).run(inputs),
+                reference_engine(tiny_mlp_model).run(inputs),
                 threaded.run(inputs),
             )
 

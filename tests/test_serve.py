@@ -1,8 +1,8 @@
-"""Tests for the serving layer: float32 fast path, registry, server.
+"""Tests for the serving layer: float32 GEMM, registry, server.
 
 The serving contract mirrors the runtime's: everything stays *bit-identical*
-to the sequential float64 :class:`~repro.runtime.NetworkEngine` path --
-coalescing requests and the float32 GEMM fast path are pure
+to the per-phase :class:`~repro.core.executor.PimLayerExecutor` oracle --
+coalescing requests and the proven-exact float32 GEMM are pure
 scheduling/throughput changes.
 """
 
@@ -46,15 +46,9 @@ class TestFloat32FastPath:
 
     def test_default_config_uses_float32(self, tiny_linear_layer):
         executor = VectorizedLayerExecutor(
-            tiny_linear_layer, PimLayerConfig(), weight_cache=None, float32=True
-        )
-        assert executor.gemm_dtypes == [np.float32]
-
-    def test_opt_out_stays_float64(self, tiny_linear_layer):
-        executor = VectorizedLayerExecutor(
             tiny_linear_layer, PimLayerConfig(), weight_cache=None
         )
-        assert executor.gemm_dtypes == [np.float64]
+        assert executor.gemm_dtypes == [np.float32]
 
     @pytest.mark.parametrize("rows", [512, 7])  # single and multi chunk
     def test_outputs_and_stats_bit_identical(
@@ -62,51 +56,33 @@ class TestFloat32FastPath:
     ):
         config = PimLayerConfig(crossbar_rows=rows, collect_column_sums=True)
         reference = PimLayerExecutor(tiny_linear_layer, config)
-        fast = VectorizedLayerExecutor(
-            tiny_linear_layer, config, weight_cache=None, float32=True
-        )
+        fast = VectorizedLayerExecutor(tiny_linear_layer, config, weight_cache=None)
         assert np.float32 in fast.gemm_dtypes
         assert np.array_equal(reference.matmul(tiny_patches), fast.matmul(tiny_patches))
         assert_stats_equal(reference.stats, fast.stats)
 
     def test_seeded_noise_bit_identical(self, tiny_linear_layer, tiny_patches):
         config = PimLayerConfig()
-        reference = VectorizedLayerExecutor(
-            tiny_linear_layer,
-            config,
-            noise=GaussianColumnNoise(level=0.08, seed=3),
-            weight_cache=None,
+        reference = PimLayerExecutor(
+            tiny_linear_layer, config, noise=GaussianColumnNoise(level=0.08, seed=3)
         )
         fast = VectorizedLayerExecutor(
             tiny_linear_layer,
             config,
             noise=GaussianColumnNoise(level=0.08, seed=3),
             weight_cache=None,
-            float32=True,
         )
+        assert np.float32 in fast.gemm_dtypes
         assert np.array_equal(reference.matmul(tiny_patches), fast.matmul(tiny_patches))
         assert_stats_equal(reference.stats, fast.stats)
 
     def test_engine_level_parity(self, tiny_mlp_model, rng):
         inputs = np.abs(rng.normal(0, 1, size=(6, 16)))
-        reference = NetworkEngine.build(tiny_mlp_model, pool=private_pool())
-        fast = NetworkEngine.build(tiny_mlp_model, pool=private_pool(), float32=True)
+        oracle = private_pool(executor_factory=PimLayerExecutor)
+        reference = NetworkEngine.build(tiny_mlp_model, pool=oracle)
+        fast = NetworkEngine.build(tiny_mlp_model, pool=private_pool())
         assert np.array_equal(reference.run(inputs), fast.run(inputs))
         assert_stats_equal(reference.network_statistics(), fast.network_statistics())
-
-    def test_pool_keys_float32_separately(self, tiny_linear_layer):
-        pool = private_pool()
-        plain = pool.get(tiny_linear_layer, PimLayerConfig())
-        fast = pool.get(tiny_linear_layer, PimLayerConfig(), float32=True)
-        assert plain is not fast and len(pool) == 2
-        assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is fast
-
-    def test_reference_factory_ignores_float32(self, tiny_linear_layer):
-        pool = private_pool(executor_factory=PimLayerExecutor, float32=True)
-        executor = pool.get(tiny_linear_layer, PimLayerConfig())
-        assert type(executor) is PimLayerExecutor
-        # Normalised key: explicit float32 lookups reuse the same executor.
-        assert pool.get(tiny_linear_layer, PimLayerConfig(), float32=True) is executor
 
 
 class TestModelRegistry:
